@@ -6,7 +6,8 @@ extensions), estimate (repeated estimator runs with a summary), sweep
 correctness check suite).
 
 Exit codes: 0 success, 1 verification or assertion failure, 2 usage or
-input error, 3 resource cap exceeded.
+input error, 3 resource cap exceeded or an estimate beyond double range
+(``EstimateOverflow``; one stderr line with the estimate's natural log).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import os
 import sys
 
 from .analysis import BOUNDS_CSV_HEADER
-from .errors import CapExceeded
+from .errors import CapExceeded, EstimateOverflow
 from .estimators import ImportanceInduced, UniformHyperchild, ideal_cost_distribution, run_many
 from .experiments import (
     SweepConfig,
@@ -315,6 +316,9 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except CapExceeded as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
+        return 3
+    except EstimateOverflow as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 3
     except (PosetFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,3 +18,8 @@ class EstimateOverflow(ArithmeticError):
     def __init__(self, log_value: float):
         super().__init__(f"estimate overflowed double precision (log value {log_value:.6g})")
         self.log_value = log_value
+
+    def __reduce__(self):
+        # Worker processes send exceptions back pickled; the default
+        # reduction would rebuild from the message, not the log value.
+        return (type(self), (self.log_value,))

@@ -380,15 +380,24 @@ def summarize(estimates: Sequence[float]) -> RunSummary:
 
 
 def _run_block(t, root, budget, dist, seed, start, stop) -> list[float]:
+    """Estimates for run indices [start, stop), each on its derived stream.
+
+    Decision trees walked from their root under the uniform draw or a
+    weight with ``value_at`` take the tree's mask-only walk; everything
+    else takes the generic walk.  ``EstimateOverflow`` passes through
+    unwrapped so callers can report it as such.
+    """
     fast = getattr(t, "fast_run_block", None)
-    if (
-        fast is not None
-        and type(dist) is ImportanceInduced
-        and hasattr(dist.weight, "value_at")
-        and root == t.root_hypernode
-    ):
+    weight = None
+    if type(dist) is ImportanceInduced and hasattr(dist.weight, "value_at"):
+        weight = dist.weight
+    elif type(dist) is not UniformHyperchild:
+        fast = None
+    if fast is not None and root == t.root_hypernode:
         try:
-            return fast(budget, dist.weight, seed, start, stop)
+            return fast(budget, weight, seed, start, stop)
+        except EstimateOverflow:
+            raise
         except Exception as exc:
             raise RuntimeError(f"estimator block [{start}, {stop}) (seed {seed}) failed: {exc}") from exc
     out = []
@@ -396,6 +405,8 @@ def _run_block(t, root, budget, dist, seed, start, stop) -> list[float]:
         choice = RandomChoice(RandomSource(derive_seed(seed, i)))
         try:
             out.append(_walk(t, root, budget, dist, choice, record=False).estimate)
+        except EstimateOverflow:
+            raise
         except Exception as exc:
             raise RuntimeError(f"estimator run {i} (seed {seed}) failed: {exc}") from exc
     return out

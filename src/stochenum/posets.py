@@ -256,103 +256,126 @@ class LEDecisionTree(TreeOracle):
         return sib, self._desc[elem], self.n - len(prefix)
 
     def fast_run_block(self, budget: int, weight, seed: int, start: int, stop: int) -> list[float]:
-        """Weighted-walk estimates for run indices [start, stop).
+        """Estimates from the root for run indices [start, stop).
 
-        Draw-for-draw and float-for-float identical to the generic walk
-        under the induced distribution (the equivalence is pinned by a
-        test), but tracks hypernode members as deleted-set masks only.
-        One walk never merges two members, so the path identity that node
-        references carry is not needed inside a single run.
+        ``weight`` (a weight with ``value_at``) selects the induced
+        two-phase draw; None selects the uniform draw of
+        ``UniformHyperchild``.  Draw-for-draw and float-for-float identical
+        to the generic walk under the matching distribution (the
+        equivalence is pinned by tests), but tracks hypernode members as
+        deleted-set masks only.  One walk never merges two members, so the
+        path identity that node references carry is not needed inside a
+        single run.
         """
         if budget < 1:
             raise ValueError(f"budget must be >= 1, got {budget}")
         n = self.n
         maximal_after = self.maximal_after
-        value_at = weight.value_at
-        counted = hasattr(weight, "evaluations")
+        uniform = weight is None
+        if not uniform:
+            value_at = weight.value_at
+            counted = hasattr(weight, "evaluations")
         # Whole expansions keyed by deleted-set mask: the mask fixes the
         # depth (its popcount), so children and weights are mask-pure.
-        expansion: dict[int, tuple] = {}
-        base_seed = seed
+        expansion: dict = {}
+        # One generator reseeded per run yields the same stream as a fresh
+        # Random(derive_seed(seed, run)) without constructing one.
+        rng = random.Random()
+        rand = rng.random
         out = []
         for run in range(start, stop):
-            rand = random.Random(derive_seed(base_seed, run)).random
+            rng.seed(derive_seed(seed, run))
             members = (0,)
             size = 1
             depth = 0
             d_product = 1.0
             total = 0.0
             while True:
-                succ = []
-                weights = []
-                r_all = 0.0
-                for mask in members:
-                    entry = expansion.get(mask)
-                    if entry is None:
-                        kids = maximal_after(mask)
-                        sib = len(kids)
-                        child_depth = mask.bit_count() + 1
-                        cms = []
-                        ws = []
-                        g0 = weight.guard_hits if counted else 0
-                        for e in kids:
-                            cm = mask | (1 << e)
-                            cms.append(cm)
-                            ws.append(value_at(cm, e, sib, child_depth))
-                        entry = (cms, ws, (weight.guard_hits - g0) if counted else 0)
-                        expansion[mask] = entry
-                    elif counted:
-                        weight.evaluations += len(entry[1])
-                        weight.guard_hits += entry[2]
-                    succ.extend(entry[0])
-                    weights.extend(entry[1])
-                    for w in entry[1]:
-                        r_all += w
-                count = len(succ)
-                if not count:
-                    break
-                m = budget if budget < count else count
-                u = rand() * r_all
-                acc = 0.0
-                first = count - 1
-                for i in range(count):
-                    acc += weights[i]
-                    if u < acc:
-                        first = i
+                if uniform:
+                    succ = []
+                    for mask in members:
+                        kids = expansion.get(mask)
+                        if kids is None:
+                            kids = expansion[mask] = [mask | (1 << e) for e in maximal_after(mask)]
+                        succ += kids
+                    count = len(succ)
+                    if not count:
                         break
-                r_sel = weights[first]
-                if m == 1:
-                    chosen = (first,)
+                    m = budget if budget < count else count
+                    # Partial Fisher-Yates, as RandomChoice.pick_subset.
+                    if m == 1:
+                        chosen = (int(rand() * count),)
+                    else:
+                        chosen = list(range(count))
+                        for i in range(m):
+                            j = i + int(rand() * (count - i))
+                            chosen[i], chosen[j] = chosen[j], chosen[i]
+                        del chosen[m:]
+                    d_k = (m / size) * (count / m)
                 else:
-                    rest = count - 1
-                    idx = list(range(rest))
-                    for i in range(m - 1):
-                        j = i + int(rand() * (rest - i))
-                        idx[i], idx[j] = idx[j], idx[i]
-                    chosen = [first]
-                    for i in range(m - 1):
-                        k = idx[i]
-                        orig = k if k < first else k + 1
-                        chosen.append(orig)
-                        r_sel += weights[orig]
-                d_k = (m / size) * (r_all / r_sel)
-                d_product *= d_k
-                if not math.isfinite(d_product):
-                    # Rare; replay through the generic walk, which carries a
-                    # log-space shadow of the product for the error report.
-                    from .estimators import ImportanceInduced, sep_estimate
-                    from .sampling import RandomChoice
-
-                    sep_estimate(
-                        self, budget, ImportanceInduced(weight),
-                        RandomChoice(RandomSource(derive_seed(base_seed, run))),
-                        record=False,
-                    )
-                    raise EstimateOverflow(math.inf)
+                    succ = []
+                    weights = []
+                    r_all = 0.0
+                    for mask in members:
+                        entry = expansion.get(mask)
+                        if entry is None:
+                            kids = maximal_after(mask)
+                            sib = len(kids)
+                            child_depth = mask.bit_count() + 1
+                            cms = []
+                            ws = []
+                            g0 = weight.guard_hits if counted else 0
+                            for e in kids:
+                                cm = mask | (1 << e)
+                                cms.append(cm)
+                                ws.append(value_at(cm, e, sib, child_depth))
+                            entry = (cms, ws, (weight.guard_hits - g0) if counted else 0)
+                            expansion[mask] = entry
+                        elif counted:
+                            weight.evaluations += len(entry[1])
+                            weight.guard_hits += entry[2]
+                        succ.extend(entry[0])
+                        weights.extend(entry[1])
+                        for w in entry[1]:
+                            r_all += w
+                    count = len(succ)
+                    if not count:
+                        break
+                    m = budget if budget < count else count
+                    u = rand() * r_all
+                    acc = 0.0
+                    first = count - 1
+                    for i in range(count):
+                        acc += weights[i]
+                        if u < acc:
+                            first = i
+                            break
+                    r_sel = weights[first]
+                    if m == 1:
+                        chosen = (first,)
+                    else:
+                        rest = count - 1
+                        idx = list(range(rest))
+                        for i in range(m - 1):
+                            j = i + int(rand() * (rest - i))
+                            idx[i], idx[j] = idx[j], idx[i]
+                        chosen = [first]
+                        for i in range(m - 1):
+                            k = idx[i]
+                            orig = k if k < first else k + 1
+                            chosen.append(orig)
+                            r_sel += weights[orig]
+                    d_k = (m / size) * (r_all / r_sel)
+                product = d_product * d_k
+                if not math.isfinite(product):
+                    # The generic walk reports the sum of log(d_k) so far;
+                    # this is the same magnitude from the last finite product.
+                    raise EstimateOverflow(math.log(d_product) + math.log(d_k))
+                d_product = product
                 depth += 1
                 if depth == n:
                     total += d_product
-                members = [succ[i] for i in chosen]
+                members = [succ[i] for i in chosen] if m > 1 else (succ[chosen[0]],)
                 size = m
             out.append(total)
         return out
@@ -362,8 +385,9 @@ class _TreeWeight:
     """Shared plumbing for the decision-tree weight functions.
 
     Values depend only on (deleted set, chosen element), which repeat
-    heavily across runs, so they are memoized per tree under a packed
-    integer key (the element-count cap keeps elements below 32).
+    heavily across runs, so they are memoized per tree under the packed
+    integer key ``mask << shift | elem``, with a shift wide enough for
+    every element of the tree.
 
     ``value_at`` is the estimator fast path: it takes the choice-point
     context (sibling count, depth) the caller already has, instead of
@@ -372,6 +396,7 @@ class _TreeWeight:
 
     def __init__(self, tree: LEDecisionTree):
         self.tree = tree
+        self._shift = max(5, (tree.n - 1).bit_length())
         self._memo: dict = {}
 
     def _compute(self, mask, elem, sib, depth) -> float:
@@ -380,7 +405,7 @@ class _TreeWeight:
     def __call__(self, node) -> float:
         prefix, mask = node
         elem = prefix[-1]
-        key = mask << 5 | elem
+        key = mask << self._shift | elem
         value = self._memo.get(key)
         if value is None:
             sib = len(self.tree.maximal_after(mask & ~(1 << elem)))
@@ -389,7 +414,7 @@ class _TreeWeight:
         return value
 
     def value_at(self, mask, elem, sib, depth) -> float:
-        key = mask << 5 | elem
+        key = mask << self._shift | elem
         value = self._memo.get(key)
         if value is None:
             value = self._compute(mask, elem, sib, depth)
@@ -441,20 +466,20 @@ class _SiblingCubedHeightRatio(_TreeWeight):
         guarded = denom < 1
         if guarded:
             denom = 1
-        self._guarded[mask << 5 | elem] = guarded
+        self._guarded[mask << self._shift | elem] = guarded
         return sib * sib * sib * (height + desc) / denom
 
     def __call__(self, node) -> float:
         value = super().__call__(node)
         self.evaluations += 1
-        if self._guarded[node[1] << 5 | node[0][-1]]:
+        if self._guarded[node[1] << self._shift | node[0][-1]]:
             self.guard_hits += 1
         return value
 
     def value_at(self, mask, elem, sib, depth) -> float:
         value = super().value_at(mask, elem, sib, depth)
         self.evaluations += 1
-        if self._guarded[mask << 5 | elem]:
+        if self._guarded[mask << self._shift | elem]:
             self.guard_hits += 1
         return value
 

@@ -61,6 +61,15 @@ def test_exact_cap_exit_code(tmp_path, capsys):
     assert "cap" in err
 
 
+def test_estimate_overflow_exit_code(tmp_path, capsys):
+    anti = tmp_path / "anti.poset"
+    anti.write_text("200\n")  # an antichain: 200! extensions, beyond double range
+    for threads in ("1", "2"):
+        code, out, err = run_cli(capsys, "--threads", threads, "estimate", "--poset", str(anti), "--runs", "8")
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "overflow" in err and "Traceback" not in err
+
+
 def test_bad_poset_file_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.poset"
     bad.write_text("3\n0 1\n1 0\n")

@@ -1,6 +1,7 @@
 """Estimator walks: golden replays, reductions, aggregation, fast path."""
 
 import math
+import pickle
 
 import pytest
 
@@ -19,7 +20,7 @@ from stochenum.estimators import (
     sep_estimate,
     summarize,
 )
-from stochenum.posets import LEDecisionTree, importance_function, random_poset
+from stochenum.posets import LEDecisionTree, Poset, importance_function, random_poset
 from stochenum.sampling import RandomChoice, RandomSource, ScriptedChoice, derive_seed
 from stochenum.tree import ExplicitTree, Hypernode, fixture_example_importance, fixture_example_tree
 
@@ -213,12 +214,36 @@ def test_summarize_zero_mean_rel_variance():
 
 
 def test_run_many_thread_count_invariance():
-    p = random_poset(8, 0.2, 5)
-    tree = LEDecisionTree(p)
-    dist = ImportanceInduced(importance_function(tree, "f2"))
-    a = run_many(tree, 3, dist, 400, 11, threads=1)
-    b = run_many(tree, 3, dist, 400, 11, threads=2)
-    assert a == b
+    # Fresh trees, so neither run inherits the other's weight memo.  n=40
+    # needs memo keys wider than 5 element bits; packed 5-bit keys
+    # collided there and made the estimates order dependent.
+    def summary(n, p, seed, threads):
+        tree = LEDecisionTree(random_poset(n, p, seed))
+        dist = ImportanceInduced(importance_function(tree, "f2"))
+        return run_many(tree, 3, dist, 400, 11, threads=threads)
+
+    for n, p, seed in ((8, 0.2, 5), (40, 0.05, 3)):
+        assert summary(n, p, seed, 1) == summary(n, p, seed, 2)
+
+
+def test_fast_block_independent_of_block_order():
+    def fresh_block(start, stop):
+        tree = LEDecisionTree(random_poset(40, 0.05, 3))
+        return tree.fast_run_block(3, importance_function(tree, "f2"), 11, start, stop)
+
+    tree = LEDecisionTree(random_poset(40, 0.05, 3))
+    w = importance_function(tree, "f2")
+    late = tree.fast_run_block(3, w, 11, 100, 200)
+    early = tree.fast_run_block(3, w, 11, 0, 100)
+    assert early + late == fresh_block(0, 200)
+
+
+def test_uniform_run_many_golden_means():
+    # Means recorded from the generic walk before uniform runs moved to
+    # the mask-only walk; the move must not change a single bit.
+    tree = LEDecisionTree(random_poset(20, 0.2, 7))
+    assert repr(run_many(tree, 1, UniformHyperchild(), 500, 42).mean) == "1108271259.648"
+    assert repr(run_many(tree, 5, UniformHyperchild(), 500, 42).mean) == "725301964.4669158"
 
 
 def test_run_many_mean_near_truth():
@@ -246,16 +271,21 @@ def test_run_many_propagates_errors_with_context():
 
 
 def test_fast_block_matches_generic_walk_bitwise():
+    # kind None is the uniform draw of UniformHyperchild.
     for seed in (3, 5):
         p = random_poset(9, 0.2, seed)
         tree = LEDecisionTree(p)
         root = tree.root_hypernode
-        for kind in ("uniform", "f1", "f2", "f3", "ideal"):
+        for kind in (None, "uniform", "f1", "f2", "f3", "ideal"):
             for budget in (1, 2, 4):
-                fast = tree.fast_run_block(budget, importance_function(tree, kind), 31, 0, 60)
-                w2 = importance_function(tree, kind)
+                if kind is None:
+                    fast = tree.fast_run_block(budget, None, 31, 0, 60)
+                    dist = UniformHyperchild()
+                else:
+                    fast = tree.fast_run_block(budget, importance_function(tree, kind), 31, 0, 60)
+                    dist = ImportanceInduced(importance_function(tree, kind))
                 gen = [
-                    _walk(tree, root, budget, ImportanceInduced(w2),
+                    _walk(tree, root, budget, dist,
                           RandomChoice(RandomSource(derive_seed(31, i))), record=False).estimate
                     for i in range(60)
                 ]
@@ -278,10 +308,42 @@ def test_fast_block_guard_counters_match_generic():
 def test_run_block_dispatches_to_fast_path():
     p = random_poset(7, 0.2, 2)
     tree = LEDecisionTree(p)
+    calls = []
+    real = tree.fast_run_block
+
+    def spy(budget, weight, seed, start, stop):
+        calls.append(weight)
+        return real(budget, weight, seed, start, stop)
+
+    tree.fast_run_block = spy
     w = importance_function(tree, "f3")
     via_block = _run_block(tree, tree.root_hypernode, 2, ImportanceInduced(w), 9, 0, 40)
-    direct = tree.fast_run_block(2, importance_function(tree, "f3"), 9, 0, 40)
-    assert via_block == direct
+    direct = real(2, importance_function(tree, "f3"), 9, 0, 40)
+    assert via_block == direct and calls == [w]
+    via_block = _run_block(tree, tree.root_hypernode, 2, UniformHyperchild(), 9, 0, 40)
+    assert via_block == real(2, None, 9, 0, 40) and calls == [w, None]
+    # Any other root takes the generic walk.
+    child = Hypernode(tuple(tree.successors(tree.root_hypernode.nodes[0])[:1]))
+    _run_block(tree, child, 2, UniformHyperchild(), 9, 0, 5)
+    assert calls == [w, None]
+
+
+def test_overflow_passes_through_run_block_with_log_value():
+    tree = LEDecisionTree(Poset(200, [0] * 200))  # 200! extensions
+    with pytest.raises(EstimateOverflow) as fast:
+        _run_block(tree, tree.root_hypernode, 1, UniformHyperchild(), 4, 0, 3)
+    with pytest.raises(EstimateOverflow) as generic:
+        _walk(tree, tree.root_hypernode, 1, UniformHyperchild(),
+              RandomChoice(RandomSource(derive_seed(4, 0))), record=False)
+    assert math.isfinite(fast.value.log_value)
+    assert fast.value.log_value == pytest.approx(generic.value.log_value, rel=1e-12)
+    with pytest.raises(EstimateOverflow):
+        run_many(tree, 1, UniformHyperchild(), 8, 4, threads=2)
+
+
+def test_estimate_overflow_survives_pickling():
+    back = pickle.loads(pickle.dumps(EstimateOverflow(710.8)))
+    assert type(back) is EstimateOverflow and back.log_value == 710.8
 
 
 def test_trajectory_recording_optional():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -42,6 +43,22 @@ def test_derive_seed_is_stable_and_spreads():
     assert derive_seed(1, 2) == derive_seed(1, 2)
     assert derive_seed(1, 2) != derive_seed(1, 3)
     assert derive_seed(1, 2) != derive_seed(2, 1)
+
+
+def test_run_stream_contract_pinned():
+    # Run i of seed s draws from MT19937 seeded with derive_seed(s, i);
+    # estimates for a seed stay reproducible only while this holds.
+    seed = derive_seed(42, 3)
+    assert seed == 203723433015459821948931052328681415437
+    first = [0.029771095318357643, 0.481238030311271, 0.6980478309714604]
+    src = RandomSource(seed)
+    assert [src.random() for _ in range(3)] == first
+    # Reseeding a used generator, as the mask-only walk does per run,
+    # restarts exactly this stream.
+    rng = random.Random(7)
+    rng.random()
+    rng.seed(seed)
+    assert [rng.random() for _ in range(3)] == first
 
 
 def test_random_source_determinism():
