@@ -48,14 +48,25 @@ from .verify import run_checks
 FIXTURES = ("example", "example-importance", "poset-fig3")
 
 
-def _default_threads() -> int:
-    env = os.environ.get("SE_COUNT_THREADS")
-    if env:
+def _threads(args) -> int:
+    """Worker count: ``--threads``, else ``SE_COUNT_THREADS``, else 1.
+
+    A count below 1 or an unparsable variable is a usage error.
+    """
+    if args.threads is not None:
+        value, source = args.threads, "--threads"
+    else:
+        env = os.environ.get("SE_COUNT_THREADS")
+        if not env:
+            return 1
+        source = "SE_COUNT_THREADS"
         try:
-            return max(1, int(env))
+            value = int(env)
         except ValueError:
-            pass
-    return 1
+            raise ValueError(f"{source} must be an integer >= 1, got {env!r}") from None
+    if value < 1:
+        raise ValueError(f"{source} must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,7 +196,7 @@ def cmd_exact(args) -> int:
 
 def cmd_estimate(args) -> int:
     tree, poset, label = _load_instance(args)
-    threads = args.threads if args.threads else _default_threads()
+    threads = _threads(args)
     if args.fixture == "example-importance":
         dist = ImportanceInduced(fixture_example_importance())
     elif poset is not None:
@@ -252,7 +263,7 @@ def cmd_sweep(args) -> int:
         verify_small=args.verify_small,
         timing=args.timing,
     )
-    threads = args.threads if args.threads else _default_threads()
+    threads = _threads(args)
     rows = run_sweep(cfg, threads=threads)
     if args.format == "json-lines":
         text = rows_to_json_lines(rows)

@@ -383,13 +383,13 @@ def _run_block(t, root, budget, dist, seed, start, stop) -> list[float]:
     """Estimates for run indices [start, stop), each on its derived stream.
 
     Decision trees walked from their root under the uniform draw or a
-    weight with ``value_at`` take the tree's mask-only walk; everything
+    weight with ``child_values`` take the tree's mask-only walk; everything
     else takes the generic walk.  ``EstimateOverflow`` passes through
     unwrapped so callers can report it as such.
     """
     fast = getattr(t, "fast_run_block", None)
     weight = None
-    if type(dist) is ImportanceInduced and hasattr(dist.weight, "value_at"):
+    if type(dist) is ImportanceInduced and hasattr(dist.weight, "child_values"):
         weight = dist.weight
     elif type(dist) is not UniformHyperchild:
         fast = None
@@ -428,6 +428,8 @@ def run_many(
     """
     if runs < 1:
         raise ValueError(f"need at least one run, got {runs}")
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     if root is None:
         root = t.root_hypernode
     if threads <= 1 or runs < 4:

@@ -72,6 +72,8 @@ class SweepConfig:
             raise ValueError("an 'n' sweep needs a fixed budget")
         if self.kind == "B" and self.fixed_n is None:
             raise ValueError("a 'B' sweep needs a fixed poset size")
+        if self.fixed_budget is not None and self.fixed_budget < 1:
+            raise ValueError(f"budget must be >= 1, got {self.fixed_budget}")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
         for count in (self.posets_per_point, self.estimates_per_poset):

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Callable, Iterable
 
 from .errors import CapExceeded, EstimateOverflow
@@ -196,10 +198,30 @@ class LEDecisionTree(TreeOracle):
         self.poset = poset
         self.n = poset.n
         self._full = (1 << poset.n) - 1
-        self._above = poset.above
         self._desc = poset.descendant_counts()
         self._max_memo: dict[int, tuple[int, ...]] = {}
         self._count_memo: dict[int, int] = {self._full: 1}
+        self._chunks: tuple | None = None
+
+    def _build_chunks(self) -> tuple:
+        """Per 8-element chunk: (shift, below, elems), each table indexed by a byte.
+
+        ``below[b]`` is the union of the ``gt`` rows of the chunk members
+        in byte b, ``elems[b]`` those members ascending.
+        """
+        gt = self.poset.gt
+        chunks = []
+        for shift in range(0, self.n, 8):
+            width = min(8, self.n - shift)
+            below = [0] * (1 << width)
+            elems = [()] * (1 << width)
+            for b in range(1, 1 << width):
+                low = b & -b
+                i = low.bit_length() - 1
+                below[b] = below[b ^ low] | gt[shift + i]
+                elems[b] = (shift + i,) + elems[b ^ low]
+            chunks.append((shift, below, elems))
+        return tuple(chunks)
 
     @property
     def root_hypernode(self) -> Hypernode:
@@ -209,12 +231,19 @@ class LEDecisionTree(TreeOracle):
         """Maximal elements of the remaining poset, ascending."""
         out = self._max_memo.get(deleted)
         if out is None:
+            # An element is maximal unless some remaining element is above
+            # it, i.e. unless it lies in the union of the remaining rows.
+            chunks = self._chunks
+            if chunks is None:
+                chunks = self._chunks = self._build_chunks()
             remaining = self._full & ~deleted
-            above = self._above
-            out = tuple(
-                e for e in range(self.n)
-                if remaining >> e & 1 and above[e] & remaining == 0
-            )
+            covered = 0
+            for shift, below, _ in chunks:
+                covered |= below[remaining >> shift & 255]
+            top = remaining & ~covered
+            out = ()
+            for shift, _, elems in chunks:
+                out += elems[top >> shift & 255]
             self._max_memo[deleted] = out
         return out
 
@@ -258,7 +287,7 @@ class LEDecisionTree(TreeOracle):
     def fast_run_block(self, budget: int, weight, seed: int, start: int, stop: int) -> list[float]:
         """Estimates from the root for run indices [start, stop).
 
-        ``weight`` (a weight with ``value_at``) selects the induced
+        ``weight`` (a weight with ``child_values``) selects the induced
         two-phase draw; None selects the uniform draw of
         ``UniformHyperchild``.  Draw-for-draw and float-for-float identical
         to the generic walk under the matching distribution (the
@@ -273,7 +302,7 @@ class LEDecisionTree(TreeOracle):
         maximal_after = self.maximal_after
         uniform = weight is None
         if not uniform:
-            value_at = weight.value_at
+            child_values = weight.child_values
             counted = hasattr(weight, "evaluations")
         # Whole expansions keyed by deleted-set mask: the mask fixes the
         # depth (its popcount), so children and weights are mask-pure.
@@ -315,41 +344,35 @@ class LEDecisionTree(TreeOracle):
                 else:
                     succ = []
                     weights = []
-                    r_all = 0.0
                     for mask in members:
                         entry = expansion.get(mask)
                         if entry is None:
                             kids = maximal_after(mask)
-                            sib = len(kids)
-                            child_depth = mask.bit_count() + 1
-                            cms = []
-                            ws = []
                             g0 = weight.guard_hits if counted else 0
-                            for e in kids:
-                                cm = mask | (1 << e)
-                                cms.append(cm)
-                                ws.append(value_at(cm, e, sib, child_depth))
-                            entry = (cms, ws, (weight.guard_hits - g0) if counted else 0)
+                            ws = child_values(mask, kids)
+                            entry = (
+                                [mask | (1 << e) for e in kids], ws,
+                                (weight.guard_hits - g0) if counted else 0,
+                            )
                             expansion[mask] = entry
                         elif counted:
                             weight.evaluations += len(entry[1])
                             weight.guard_hits += entry[2]
                         succ.extend(entry[0])
                         weights.extend(entry[1])
-                        for w in entry[1]:
-                            r_all += w
                     count = len(succ)
                     if not count:
                         break
                     m = budget if budget < count else count
+                    # The generic draw's left-to-right sums, so r_all and the
+                    # pick keep their bits (sum() compensates from Python
+                    # 3.12): the first pick is the first prefix sum above u.
+                    cum = list(accumulate(weights))
+                    r_all = cum[-1]
                     u = rand() * r_all
-                    acc = 0.0
-                    first = count - 1
-                    for i in range(count):
-                        acc += weights[i]
-                        if u < acc:
-                            first = i
-                            break
+                    first = bisect_right(cum, u)
+                    if first == count:
+                        first = count - 1
                     r_sel = weights[first]
                     if m == 1:
                         chosen = (first,)
@@ -384,64 +407,52 @@ class LEDecisionTree(TreeOracle):
 class _TreeWeight:
     """Shared plumbing for the decision-tree weight functions.
 
-    Values depend only on (deleted set, chosen element), which repeat
-    heavily across runs, so they are memoized per tree under the packed
-    integer key ``mask << shift | elem``, with a shift wide enough for
-    every element of the tree.
-
-    ``value_at`` is the estimator fast path: it takes the choice-point
-    context (sibling count, depth) the caller already has, instead of
-    deriving it from a node reference.
+    A child's weight depends on its sibling count, its depth and its
+    element.  ``_values`` holds each kind's formula for a run of siblings;
+    ``child_values`` is the estimator fast path, one call per expansion,
+    and ``__call__`` serves the generic walk and the analysis.
     """
 
     def __init__(self, tree: LEDecisionTree):
         self.tree = tree
-        self._shift = max(5, (tree.n - 1).bit_length())
-        self._memo: dict = {}
 
-    def _compute(self, mask, elem, sib, depth) -> float:
+    def _values(self, sib: int, depth: int, elems) -> list[float]:
         raise NotImplementedError
 
     def __call__(self, node) -> float:
         prefix, mask = node
         elem = prefix[-1]
-        key = mask << self._shift | elem
-        value = self._memo.get(key)
-        if value is None:
-            sib = len(self.tree.maximal_after(mask & ~(1 << elem)))
-            value = self._compute(mask, elem, sib, len(prefix))
-            self._memo[key] = value
-        return value
+        sib = len(self.tree.maximal_after(mask & ~(1 << elem)))
+        return self._values(sib, len(prefix), (elem,))[0]
 
-    def value_at(self, mask, elem, sib, depth) -> float:
-        key = mask << self._shift | elem
-        value = self._memo.get(key)
-        if value is None:
-            value = self._compute(mask, elem, sib, depth)
-            self._memo[key] = value
-        return value
+    def child_values(self, mask: int, kids) -> list[float]:
+        """Weights of the children ``mask | 1 << e`` for e in ``kids``, the
+        maximal elements after ``mask``."""
+        return self._values(len(kids), mask.bit_count() + 1, kids)
 
 
 class _UniformWeight:
     def __call__(self, node) -> float:
         return 1.0
 
-    def value_at(self, mask, elem, sib, depth) -> float:
-        return 1.0
+    def child_values(self, mask, kids) -> list[float]:
+        return [1.0] * len(kids)
 
 
 class _SiblingCubed(_TreeWeight):
     """Weight sib(x)^3: favors nodes from wide choice points."""
 
-    def _compute(self, mask, elem, sib, depth) -> float:
-        return float(sib * sib * sib)
+    def _values(self, sib, depth, elems):
+        return [float(sib * sib * sib)] * len(elems)
 
 
 class _SiblingCubedDescendants(_TreeWeight):
     """Weight sib(x)^3 * desc(x): wide choice points, heavy elements."""
 
-    def _compute(self, mask, elem, sib, depth) -> float:
-        return float(sib * sib * sib * self.tree._desc[elem])
+    def _values(self, sib, depth, elems):
+        s3 = sib * sib * sib
+        desc = self.tree._desc
+        return [float(s3 * desc[e]) for e in elems]
 
 
 class _SiblingCubedHeightRatio(_TreeWeight):
@@ -449,39 +460,29 @@ class _SiblingCubedHeightRatio(_TreeWeight):
 
     height - desc can reach 0 or -1 (an element dominating everything that
     remains); the denominator is clamped to 1 there, degrading the ratio
-    factor to height + desc.  Every evaluation is counted, memoized or
-    not, so the reported guard-hit fraction covers all estimator lookups.
+    factor to height + desc.  Every weight looked up is counted, so the
+    reported guard-hit fraction covers all estimator lookups.
     """
 
     def __init__(self, tree: LEDecisionTree):
         super().__init__(tree)
         self.evaluations = 0
         self.guard_hits = 0
-        self._guarded: dict = {}
 
-    def _compute(self, mask, elem, sib, depth) -> float:
-        desc = self.tree._desc[elem]
+    def _values(self, sib, depth, elems):
+        s3 = sib * sib * sib
         height = self.tree.n - depth
-        denom = height - desc
-        guarded = denom < 1
-        if guarded:
-            denom = 1
-        self._guarded[mask << self._shift | elem] = guarded
-        return sib * sib * sib * (height + desc) / denom
-
-    def __call__(self, node) -> float:
-        value = super().__call__(node)
-        self.evaluations += 1
-        if self._guarded[node[1] << self._shift | node[0][-1]]:
-            self.guard_hits += 1
-        return value
-
-    def value_at(self, mask, elem, sib, depth) -> float:
-        value = super().value_at(mask, elem, sib, depth)
-        self.evaluations += 1
-        if self._guarded[mask << self._shift | elem]:
-            self.guard_hits += 1
-        return value
+        desc = self.tree._desc
+        out = []
+        for e in elems:
+            d = desc[e]
+            denom = height - d
+            if denom < 1:
+                denom = 1
+                self.guard_hits += 1
+            out.append(s3 * (height + d) / denom)
+        self.evaluations += len(out)
+        return out
 
 
 class _IdealWeight:
@@ -497,8 +498,9 @@ class _IdealWeight:
     def __call__(self, node) -> float:
         return float(self.tree.completions(node[1]))
 
-    def value_at(self, mask, elem, sib, depth) -> float:
-        return float(self.tree.completions(mask))
+    def child_values(self, mask, kids) -> list[float]:
+        completions = self.tree.completions
+        return [float(completions(mask | (1 << e))) for e in kids]
 
 
 def importance_function(tree: LEDecisionTree, kind: str) -> Callable:

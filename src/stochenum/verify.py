@@ -117,7 +117,7 @@ def enumerable_posets(
         poset = random_poset(n, 0.2, derive_seed(seed, "poset", attempt))
         attempt += 1
         if attempt > 400 * count:
-            raise RuntimeError("could not find enough enumerable posets; lower max_n or raise the cap")
+            raise CapExceeded("could not find enough enumerable posets; lower max_n or raise the cap")
         tree = LEDecisionTree(poset)
         try:
             for budget in budgets:
@@ -330,6 +330,10 @@ def run_checks(
     bounds_sink: list | None = None,
 ) -> list[CheckResult]:
     """Run the whole suite; returns one result per check."""
+    for name, value in (("max_n", max_n), ("max_budget", max_budget), ("posets", posets),
+                        ("max_sequences", max_sequences)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     budgets = tuple(range(1, max_budget + 1))
     fixture = fixture_example_tree()
     poset_instances = enumerable_posets(posets, seed, max_n, budgets, max_sequences)

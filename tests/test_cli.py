@@ -7,9 +7,10 @@ import json
 import pytest
 
 from stochenum.cli import main
+from stochenum.errors import CapExceeded
 from stochenum.estimators import ExplicitDistribution
 from stochenum.posets import random_poset, save_poset
-from stochenum.verify import check_unbiasedness
+from stochenum.verify import check_unbiasedness, enumerable_posets
 from stochenum.tree import fixture_example_tree
 
 
@@ -198,6 +199,52 @@ def test_threads_env_fallback(monkeypatch, capsys):
     )
     assert code2 == 0
     assert out == out2  # worker count never changes results
+
+
+@pytest.mark.parametrize("argv", [
+    ("estimate", "--fixture", "poset-fig3", "--budget", "0"),
+    ("estimate", "--fixture", "example", "--budget", "-1"),
+    ("sweep", "--kind", "n", "--values", "5", "--budget", "0", "--posets", "1", "--estimates", "2"),
+    ("verify", "--max-n", "0"),
+    ("verify", "--max-n", "-1"),
+    ("verify", "--max-budget", "0"),
+    ("verify", "--posets", "0"),
+    ("verify", "--max-sequences", "0"),
+])
+def test_nonpositive_sizes_are_usage_errors(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag, env", [
+    (("--threads", "0"), None),
+    (("--threads", "-2"), None),
+    ((), "two"),
+    ((), "0"),
+])
+@pytest.mark.parametrize("command", [
+    ("estimate", "--fixture", "example", "--runs", "8"),
+    ("sweep", "--kind", "n", "--values", "5", "--budget", "2", "--posets", "1", "--estimates", "2"),
+])
+def test_threads_below_one_rejected(monkeypatch, capsys, flag, env, command):
+    if env is None:
+        monkeypatch.delenv("SE_COUNT_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("SE_COUNT_THREADS", env)
+    code, out, err = run_cli(capsys, *flag, *command)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert ("--threads" if flag else "SE_COUNT_THREADS") in err
+
+
+def test_verify_cap_too_small_exit_code(capsys):
+    code, _, err = run_cli(capsys, "verify", "--max-n", "6", "--posets", "2", "--max-sequences", "1")
+    assert code == 3
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    # Running out of enumerable instances is the same cap, not a crash.
+    with pytest.raises(CapExceeded, match="enumerable posets"):
+        enumerable_posets(1, 0, 6, (1,), 0, sizes=(6,))
 
 
 def test_verify_trivial_and_small(capsys):

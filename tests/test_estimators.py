@@ -214,9 +214,9 @@ def test_summarize_zero_mean_rel_variance():
 
 
 def test_run_many_thread_count_invariance():
-    # Fresh trees, so neither run inherits the other's weight memo.  n=40
-    # needs memo keys wider than 5 element bits; packed 5-bit keys
-    # collided there and made the estimates order dependent.
+    # Fresh trees, so neither run inherits the other's expansion caches.
+    # n=40 once read weights from packed memo keys that collided beyond 32
+    # elements and made the estimates order dependent.
     def summary(n, p, seed, threads):
         tree = LEDecisionTree(random_poset(n, p, seed))
         dist = ImportanceInduced(importance_function(tree, "f2"))
@@ -244,6 +244,26 @@ def test_uniform_run_many_golden_means():
     tree = LEDecisionTree(random_poset(20, 0.2, 7))
     assert repr(run_many(tree, 1, UniformHyperchild(), 500, 42).mean) == "1108271259.648"
     assert repr(run_many(tree, 5, UniformHyperchild(), 500, 42).mean) == "725301964.4669158"
+
+
+def test_weighted_run_many_golden_means():
+    # Means and f3 counters recorded before weights moved to one
+    # child_values call per expansion; the move must not change a bit.
+    def run(poset, kind, budget, runs):
+        tree = LEDecisionTree(poset)
+        w = importance_function(tree, kind)
+        return repr(run_many(tree, budget, ImportanceInduced(w), runs, 11).mean), w
+
+    p20 = random_poset(20, 0.2, 7)
+    assert run(p20, "f1", 5, 300)[0] == "794920522.6620209"
+    assert run(p20, "f2", 5, 300)[0] == "805994730.8032359"
+    mean, w = run(p20, "f3", 5, 300)
+    assert mean == "730671142.9412217" and (w.evaluations, w.guard_hits) == (84268, 8906)
+    assert run(p20, "ideal", 5, 300)[0] == "818833212.0"
+    p40 = random_poset(40, 0.05, 3)
+    assert run(p40, "f2", 3, 100)[0] == "2.739752099011902e+38"
+    mean, w = run(p40, "f3", 3, 100)
+    assert mean == "4.4915212201304435e+38" and (w.evaluations, w.guard_hits) == (120665, 1054)
 
 
 def test_run_many_mean_near_truth():

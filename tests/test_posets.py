@@ -4,6 +4,8 @@ import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochenum.analysis import enumerate_distribution
 from stochenum.errors import CapExceeded
@@ -141,13 +143,19 @@ def test_features_match_structure():
 
 
 def test_height_ratio_weight_spot_value():
-    # sib^3 * (height + desc) / (height - desc) at sib 3, desc 2, height 5
-    p = Poset.from_relations(7, [(0, 1)])
+    # sib^3 * (height + desc) / (height - desc) at sib 3, desc 2, height 5:
+    # after deleting 2, the maximal elements are 0, 3 and 5, each above
+    # one element, and a child sits at depth 2 of 7.
+    p = Poset.from_relations(7, [(0, 1), (3, 4), (5, 6)])
     tree = LEDecisionTree(p)
     w = importance_function(tree, "f3")
-    mask = (1 << 2) | (1 << 0)  # deleted {2, 0}, element 0 chosen at depth 2
-    assert w.value_at(mask, 0, 3, 2) == 63.0
-    assert w.guard_hits == 0
+    mask = 1 << 2
+    kids = tree.maximal_after(mask)
+    assert kids == (0, 3, 5)
+    assert w.child_values(mask, kids) == [63.0, 63.0, 63.0]
+    assert w.guard_hits == 0 and w.evaluations == 3
+    assert w(((2, 0), mask | 1)) == 63.0
+    assert w.guard_hits == 0 and w.evaluations == 4
 
 
 def test_height_ratio_guard_on_chain():
@@ -159,6 +167,54 @@ def test_height_ratio_guard_on_chain():
     value = w(node)
     assert value == 1.0 * (2 + 3) / 1
     assert w.guard_hits == 1 and w.evaluations == 1
+
+
+def naive_maximal_after(poset, deleted):
+    remaining = ((1 << poset.n) - 1) & ~deleted
+    return tuple(
+        e for e in range(poset.n)
+        if remaining >> e & 1 and poset.above[e] & remaining == 0
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.sampled_from((1, 7, 8, 9, 17, 40, 64, 65, 70)),
+    p=st.sampled_from((0.0, 0.05, 0.2, 0.5, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+    bits=st.integers(0, 2**70 - 1),
+)
+def test_maximal_after_matches_naive_definition(n, p, seed, bits):
+    poset = random_poset(n, p, seed)
+    tree = LEDecisionTree(poset)
+    picked = bits & ((1 << n) - 1)
+    upset = picked
+    for e in range(n):
+        if picked >> e & 1:
+            upset |= poset.above[e]
+    # Deleted sets in a walk are up-sets; the tables hold for any set.
+    for deleted in (upset, picked, 0, (1 << n) - 1):
+        assert tree.maximal_after(deleted) == naive_maximal_after(poset, deleted)
+
+
+def test_child_values_match_node_weights():
+    poset = random_poset(9, 0.2, 4)
+    tree = LEDecisionTree(poset)
+    level = [((), 0)]
+    nodes = []
+    while level:
+        level = [c for v in level for c in tree.successors(v)][:60]
+        nodes += level
+    for kind in ("uniform", "f1", "f2", "f3", "ideal"):
+        w_batch = importance_function(tree, kind)
+        w_node = importance_function(tree, kind)
+        for prefix, mask in [((), 0)] + nodes:
+            kids = tree.maximal_after(mask)
+            children = [(prefix + (e,), mask | (1 << e)) for e in kids]
+            assert w_batch.child_values(mask, kids) == [w_node(c) for c in children]
+        if kind == "f3":
+            assert w_batch.evaluations == w_node.evaluations > 0
+            assert w_batch.guard_hits == w_node.guard_hits
 
 
 def test_importance_kind_aliases_and_unknown():
