@@ -5,8 +5,10 @@ extensions), estimate (repeated estimator runs with a summary), sweep
 (the relative-variance experiment protocols), and verify (the
 correctness check suite).
 
-Exit codes: 0 success, 1 verification or assertion failure, 2 usage or
-input error, 3 resource cap exceeded or an estimate beyond double range
+Exit codes: 0 success, 1 verification or assertion failure (a failed
+``verify`` check, an ``exact --method both`` mismatch, or a ``sweep
+--verify-small`` mean off its exact count), 2 usage or input error, 3
+resource cap exceeded or an estimate beyond double range
 (``EstimateOverflow``; one stderr line with the estimate's natural log).
 """
 
@@ -20,7 +22,7 @@ import os
 import sys
 
 from .analysis import BOUNDS_CSV_HEADER
-from .errors import CapExceeded, EstimateOverflow
+from .errors import CapExceeded, EstimateOverflow, VerificationFailure
 from .estimators import ImportanceInduced, UniformHyperchild, ideal_cost_distribution, run_many
 from .experiments import (
     SweepConfig,
@@ -51,7 +53,8 @@ FIXTURES = ("example", "example-importance", "poset-fig3")
 def _threads(args) -> int:
     """Worker count: ``--threads``, else ``SE_COUNT_THREADS``, else 1.
 
-    A count below 1 or an unparsable variable is a usage error.
+    Resolved once in ``main`` for every subcommand, so a count below 1
+    or an unparsable variable is a usage error wherever it appears.
     """
     if args.threads is not None:
         value, source = args.threads, "--threads"
@@ -196,7 +199,6 @@ def cmd_exact(args) -> int:
 
 def cmd_estimate(args) -> int:
     tree, poset, label = _load_instance(args)
-    threads = _threads(args)
     if args.fixture == "example-importance":
         dist = ImportanceInduced(fixture_example_importance())
     elif poset is not None:
@@ -214,7 +216,7 @@ def cmd_estimate(args) -> int:
                 f"importance {args.importance!r} needs a poset instance; "
                 "the plain tree fixture supports uniform and ideal"
             )
-    summary = run_many(tree, args.budget, dist, args.runs, args.seed, threads=threads)
+    summary = run_many(tree, args.budget, dist, args.runs, args.seed, threads=args.threads)
     exact = None
     if poset is not None and poset.n <= MAX_DP_ELEMENTS:
         exact = count_linear_extensions(poset)
@@ -263,8 +265,7 @@ def cmd_sweep(args) -> int:
         verify_small=args.verify_small,
         timing=args.timing,
     )
-    threads = _threads(args)
-    rows = run_sweep(cfg, threads=threads)
+    rows = run_sweep(cfg, threads=args.threads)
     if args.format == "json-lines":
         text = rows_to_json_lines(rows)
     else:
@@ -324,6 +325,7 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }
     try:
+        args.threads = _threads(args)
         return handlers[args.command](args)
     except CapExceeded as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
@@ -331,6 +333,9 @@ def main(argv=None) -> int:
     except EstimateOverflow as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except VerificationFailure as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return 1
     except (PosetFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,6 +9,14 @@ class CapExceeded(RuntimeError):
     """
 
 
+class VerificationFailure(RuntimeError):
+    """An estimate disagreed with its exact reference beyond the tolerance.
+
+    Built from its message alone, so it pickles back from worker
+    processes unchanged.
+    """
+
+
 class EstimateOverflow(ArithmeticError):
     """A running level-count product left double range.
 

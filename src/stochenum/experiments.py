@@ -23,7 +23,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .estimators import ImportanceInduced, _run_block, summarize
-from .posets import LEDecisionTree, count_linear_extensions, importance_function, random_poset
+from .errors import VerificationFailure
+from .posets import MAX_DP_ELEMENTS, LEDecisionTree, count_linear_extensions, importance_function, random_poset
 from .sampling import derive_seed
 
 CSV_HEADER = (
@@ -160,7 +161,7 @@ def _poset_task(args) -> tuple[int, int, dict]:
     estimates_n = cfg.estimates_at(n)
     exact = None
     if cfg.exact_reference or cfg.verify_small:
-        exact = count_linear_extensions(poset) if n <= 24 else None
+        exact = count_linear_extensions(poset) if n <= MAX_DP_ELEMENTS else None
     out = {}
     for imp_idx, imp in enumerate(cfg.importance):
         t0 = time.perf_counter() if cfg.timing else 0.0
@@ -171,7 +172,7 @@ def _poset_task(args) -> tuple[int, int, dict]:
         summary = summarize(estimates)
         if cfg.verify_small and exact is not None and summary.stderr and summary.stderr > 0:
             if abs(summary.mean - exact) > 5 * summary.stderr:
-                raise RuntimeError(
+                raise VerificationFailure(
                     f"estimate mean {summary.mean} is more than 5 standard errors from the "
                     f"exact count {exact} (n={n}, B={budget}, importance={imp}, "
                     f"poset seed path ({cfg.seed}, 'poset', {point_idx}, {poset_idx}))"

@@ -53,6 +53,13 @@ def test_exact_fixture_and_methods(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "exact", "--poset", str(anti), "--method", "both")
     assert code == 0 and "dp: 40320" in out
 
+    # Components {0>1>2}, {3>4}, {5>6}, {7}: 8!/(3! 2! 2! 1!) = 1680.
+    split = tmp_path / "split.poset"
+    split.write_text("8\n0 1\n1 2\n5 6\n3 4\n")
+    code, out, _ = run_cli(capsys, "exact", "--poset", str(split), "--method", "both")
+    assert code == 0
+    assert out == "dp: 1680\ntree: 1680\n"
+
 
 def test_exact_cap_exit_code(tmp_path, capsys):
     big = tmp_path / "big.poset"
@@ -226,8 +233,12 @@ def test_nonpositive_sizes_are_usage_errors(capsys, argv):
 @pytest.mark.parametrize("command", [
     ("estimate", "--fixture", "example", "--runs", "8"),
     ("sweep", "--kind", "n", "--values", "5", "--budget", "2", "--posets", "1", "--estimates", "2"),
+    ("gen-poset", "--n", "3", "--out", "x.poset"),
+    ("exact", "--fixture", "poset-fig3"),
+    ("verify", "--max-n", "3", "--posets", "1"),
 ])
-def test_threads_below_one_rejected(monkeypatch, capsys, flag, env, command):
+def test_threads_below_one_rejected(monkeypatch, tmp_path, capsys, flag, env, command):
+    monkeypatch.chdir(tmp_path)
     if env is None:
         monkeypatch.delenv("SE_COUNT_THREADS", raising=False)
     else:
@@ -236,6 +247,21 @@ def test_threads_below_one_rejected(monkeypatch, capsys, flag, env, command):
     assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1
     assert ("--threads" if flag else "SE_COUNT_THREADS") in err
+    assert not (tmp_path / "x.poset").exists()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sweep_verify_small_failure_exit_code(capsys, threads):
+    # B=1 uniform estimates from 3 runs are heavy-tailed: on this seed one
+    # poset's mean sits more than 5 stderr from its exact count.
+    code, out, err = run_cli(
+        capsys, "--threads", threads, "--seed", "1", "sweep", "--kind", "n", "--values", "12",
+        "--budget", "1", "--posets", "40", "--estimates", "3", "--importance", "uniform",
+        "--verify-small",
+    )
+    assert code == 1 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("verification failure:") and "5 standard errors" in err
 
 
 def test_verify_cap_too_small_exit_code(capsys):

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -97,6 +99,60 @@ def test_dp_matches_tree_traversal_on_many_posets():
 def test_dp_cap():
     with pytest.raises(CapExceeded):
         count_linear_extensions(random_poset(25, 0.5, 1))
+    # The cap is on the whole poset, however cheap its components are.
+    with pytest.raises(CapExceeded):
+        count_linear_extensions(Poset(25, [0] * 25))
+
+
+def disjoint_union(parts, relabel_seed):
+    """The parts side by side, elements shuffled by a seeded permutation."""
+    n = sum(part.n for part in parts)
+    label = list(range(n))
+    random.Random(relabel_seed).shuffle(label)
+    pairs = []
+    offset = 0
+    for part in parts:
+        pairs += [(label[offset + i], label[offset + j]) for i, j in part.relation_pairs()]
+        offset += part.n
+    return Poset.from_relations(n, pairs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    parts=st.lists(
+        st.tuples(st.integers(1, 5), st.sampled_from((0.0, 0.2, 0.5, 1.0)), st.integers(0, 2**32 - 1)),
+        min_size=1, max_size=4,
+    ).filter(lambda parts: sum(size for size, _, _ in parts) <= 9),
+    relabel_seed=st.integers(0, 2**32 - 1),
+)
+def test_dp_matches_tree_traversal_on_disjoint_unions(parts, relabel_seed):
+    poset = disjoint_union([random_poset(*part) for part in parts], relabel_seed)
+    assert count_linear_extensions(poset) == int(exact_forest_cost(LEDecisionTree(poset)))
+
+
+def test_dp_closed_forms_on_split_posets():
+    start = time.perf_counter()
+    assert count_linear_extensions(Poset(24, [0] * 24)) == math.factorial(24)
+    assert time.perf_counter() - start < 0.5
+    sizes = (3, 5, 7, 2, 1)
+    chains = [random_poset(size, 1.0, 0) for size in sizes]
+    expected = math.factorial(sum(sizes))
+    for size in sizes:
+        expected //= math.factorial(size)
+    assert count_linear_extensions(disjoint_union(chains, 11)) == expected
+
+
+@pytest.mark.parametrize("n, p, seed, count", [
+    (24, 0.05, 1, 4916368352854506240),
+    (24, 0.05, 2, 39420146041436160000),
+    (24, 0.05, 3, 2196010846495065600),
+    (22, 0.1, 1, 2134272879372480),
+    (22, 0.1, 2, 53574911264160),
+    (22, 0.1, 3, 3995920872959400),
+])
+def test_dp_golden_counts_on_sparse_posets(n, p, seed, count):
+    # Recorded from the whole-poset deleted-set DP before the per-component split.
+    assert count_linear_extensions(random_poset(n, p, seed)) == count
 
 
 def test_decision_tree_structure():
