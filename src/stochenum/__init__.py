@@ -12,7 +12,6 @@ from .analysis import (
     AlphaStats,
     Outcome,
     OutcomeDistribution,
-    alpha,
     alpha_stats,
     cost_split_identity,
     count_sequences,
@@ -64,9 +63,6 @@ from .sampling import (
     ScriptedChoice,
     ScriptError,
     derive_seed,
-    select_hypernode_by_importance,
-    uniform_subset,
-    weighted_pick,
 )
 from .tree import (
     ExplicitTree,
@@ -75,8 +71,6 @@ from .tree import (
     exact_forest_cost,
     fixture_example_importance,
     fixture_example_tree,
-    hyperchildren,
-    hypernode_cost,
     hypernode_successors,
     subtree_cost_function,
 )

@@ -21,12 +21,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Sequence
+from typing import NamedTuple
 
 from .errors import CapExceeded
 from .estimators import HypernodeDistribution, ImportanceInduced
 from .sampling import NonpositiveWeight, WeightFunction
-from .tree import Hypernode, TreeOracle
+from .tree import Hypernode, TreeOracle, hypernode_successors, subtree_cost_function
 
 DEFAULT_SEQUENCE_CAP = 1_000_000
 DEFAULT_STATE_CAP = 1_000_000
@@ -37,44 +37,47 @@ BOUNDS_CSV_HEADER = (
 )
 
 
-def _subtree_cost_fn(t: TreeOracle, conv: Callable) -> Callable:
-    """Subtree costs in the requested numeric domain, memoized per node."""
-    fast = t.subtree_cost
-    memo: dict = {}
-    if fast is not None:
-        def cost_of(node):
-            v = memo.get(node)
-            if v is None:
-                v = conv(fast(node))
-                memo[node] = v
-            return v
-        return cost_of
+class _Expansion(NamedTuple):
+    """Successor union S, min(budget, |S|), C(|S|-1, take-1), and the
+    successor weights with r(S) and subtree costs with c(S) (or None)."""
 
-    def cost_of(node):
-        if node in memo:
-            return memo[node]
-        stack = [(node, False)]
-        while stack:
-            cur, expanded = stack.pop()
-            if cur in memo:
-                continue
-            children = t.successors(cur)
-            if expanded or not children:
-                memo[cur] = conv(t.cost(cur)) + sum(memo[c] for c in children)
-            else:
-                stack.append((cur, True))
-                stack.extend((c, False) for c in children if c not in memo)
-        return memo[node]
-
-    return cost_of
+    succ: tuple
+    take: int
+    binom: int
+    w_of: dict | None
+    r_all: object
+    c_of: dict | None
+    c_all: object
 
 
-def _successor_union(t: TreeOracle, nodes: Sequence) -> tuple:
-    out = {}
-    for v in nodes:
-        for w in t.successors(v):
-            out[w] = None
-    return tuple(out)
+def _expand(t: TreeOracle, nodes, budget: int, wvalue=None, subcost=None) -> _Expansion | None:
+    """Expansion of the hypernode ``nodes``; None when it is terminal.
+
+    Raises NonpositiveWeight on a successor weight <= 0.
+    """
+    succ = hypernode_successors(nodes, t)
+    if not succ:
+        return None
+    take = min(budget, len(succ))
+    w_of = r_all = c_of = c_all = None
+    if wvalue is not None:
+        w_of = {x: wvalue(x) for x in succ}
+        for x, w in w_of.items():
+            if not w > 0:
+                raise NonpositiveWeight(x, w)
+        r_all = sum(w_of.values())
+    if subcost is not None:
+        c_of = {x: subcost(x) for x in succ}
+        c_all = sum(c_of.values())
+    return _Expansion(succ, take, comb(len(succ) - 1, take - 1), w_of, r_all, c_of, c_all)
+
+
+def _domain(t: TreeOracle, weight: WeightFunction | None, exact: bool):
+    """(conv, weight value, subtree cost) in the exact or float domain."""
+    conv = Fraction if exact else float
+    if weight is None:
+        return conv, None, None
+    return conv, (lambda x: conv(float(weight(x)))), subtree_cost_function(t, conv)
 
 
 @dataclass(frozen=True)
@@ -118,14 +121,13 @@ def count_sequences(
 
     def rec(nodes):
         nonlocal count
-        succ = _successor_union(t, nodes)
-        if not succ:
+        exp = _expand(t, nodes, budget)
+        if exp is None:
             count += 1
             if count > max_sequences:
                 raise CapExceeded(f"more than {max_sequences} hypernode sequences")
             return
-        take = min(budget, len(succ))
-        for sub in itertools.combinations(succ, take):
+        for sub in itertools.combinations(exp.succ, exp.take):
             rec(sub)
 
     rec(root.nodes)
@@ -146,52 +148,43 @@ def enumerate_distribution(
 
     Each outcome records the exact probability of its hypernode sequence
     and the exact estimate the walk arithmetic assigns to it.  When a
-    weight function is supplied, the sequence's alpha value (the product
-    of per-level weight-versus-cost distortions) is recorded too.
+    weight function is supplied, the sequence's alpha value is recorded
+    too: the product over levels of (r(S)/r(w)) * (c(w)/c(S)), which
+    compares the weight the chosen hypernode w got with its share of
+    subtree cost.  The empty product is 1, and an exact subtree-cost
+    weight gives 1 at every step.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     if root is None:
         root = t.root_hypernode
-    conv = Fraction if exact else float
+    conv, wvalue, subcost = _domain(t, weight, exact)
     size0 = len(root)
-    subcost = _subtree_cost_fn(t, conv) if weight is not None else None
-    wvalue = (lambda x: conv(float(weight(x)))) if weight is not None else None
     outcomes = []
     count = 0
 
     def rec(nodes, prob, d_product, total, alpha_acc, seq):
         nonlocal count
-        succ = _successor_union(t, nodes)
-        if not succ:
+        exp = _expand(t, nodes, budget, wvalue, subcost)
+        if exp is None:
             count += 1
             if count > max_sequences:
                 raise CapExceeded(f"more than {max_sequences} hypernode sequences")
             outcomes.append(Outcome(prob, size0 * total, alpha_acc, seq))
             return
-        take = min(budget, len(succ))
-        binom = comb(len(succ) - 1, take - 1)
+        if weight is not None and exp.c_all == 0:
+            raise ValueError(f"successor forest of {nodes!r} has zero total cost; alpha undefined")
         size = len(nodes)
-        if weight is not None:
-            w_of = {x: wvalue(x) for x in succ}
-            c_of = {x: subcost(x) for x in succ}
-            for x, w in w_of.items():
-                if not w > 0:
-                    raise NonpositiveWeight(x, w)
-            r_all = sum(w_of.values())
-            c_all = sum(c_of.values())
-            if c_all == 0:
-                raise ValueError(f"successor forest of {nodes!r} has zero total cost; alpha undefined")
-        for wnodes, p in dist.support(succ, budget):
+        for wnodes, p in dist.support(exp.succ, budget):
             p = conv(p)
-            d_k = conv(len(wnodes)) / (size * binom * p)
+            d_k = conv(len(wnodes)) / (size * exp.binom * p)
             d2 = d_product * d_k
             lvl = sum(conv(t.cost(x)) for x in wnodes) / len(wnodes)
             alpha2 = alpha_acc
             if weight is not None:
-                r_sel = sum(w_of[x] for x in wnodes)
-                c_sel = sum(c_of[x] for x in wnodes)
-                alpha2 = alpha_acc * (r_all / r_sel) * (c_sel / c_all)
+                r_sel = sum(exp.w_of[x] for x in wnodes)
+                c_sel = sum(exp.c_of[x] for x in wnodes)
+                alpha2 = alpha_acc * (exp.r_all / r_sel) * (c_sel / exp.c_all)
             rec(
                 wnodes,
                 prob * p,
@@ -215,34 +208,6 @@ def enumerate_distribution(
         variance = math.fsum(o.probability * (o.estimate - mean) ** 2 for o in outcomes)
     cv2 = variance / (mean * mean) if mean != 0 else None
     return OutcomeDistribution(tuple(outcomes), mean, variance, cv2, total_p)
-
-
-def alpha(sequence: Sequence[Hypernode], t: TreeOracle, weight: WeightFunction, exact: bool = True):
-    """Distortion product of one hypernode sequence.
-
-    The per-level factor compares the weight the sequence step got to the
-    share of subtree cost it holds; the empty product is 1, and an exact
-    subtree-cost weight gives 1 at every step.
-    """
-    conv = Fraction if exact else float
-    subcost = _subtree_cost_fn(t, conv)
-    value = conv(1)
-    for prev, cur in zip(sequence, sequence[1:]):
-        succ = _successor_union(t, prev.nodes)
-        w_all = conv(0)
-        c_all = conv(0)
-        for x in succ:
-            w = conv(float(weight(x)))
-            if not w > 0:
-                raise NonpositiveWeight(x, w)
-            w_all += w
-            c_all += subcost(x)
-        if c_all == 0:
-            raise ValueError(f"successor forest of {prev!r} has zero total cost; alpha undefined")
-        w_sel = sum(conv(float(weight(x))) for x in cur)
-        c_sel = sum(subcost(x) for x in cur)
-        value = value * (w_all / w_sel) * (c_sel / c_all)
-    return value
 
 
 @dataclass(frozen=True)
@@ -274,7 +239,6 @@ def alpha_stats(
     """
     if root is None:
         root = t.root_hypernode
-    conv = Fraction if exact else float
     od = enumerate_distribution(
         t, budget, ImportanceInduced(weight),
         root=root, max_sequences=max_sequences, exact=exact, weight=weight,
@@ -287,8 +251,7 @@ def alpha_stats(
         var = math.fsum(o.probability * (o.alpha - mean) ** 2 for o in od.outcomes)
     max_alpha = max(o.alpha for o in od.outcomes)
 
-    subcost = _subtree_cost_fn(t, conv)
-    wvalue = lambda x: conv(float(weight(x)))
+    conv, wvalue, subcost = _domain(t, weight, exact)
     product = conv(1)
     level = {root.nodes}
     visited = 1
@@ -296,16 +259,12 @@ def alpha_stats(
         nxt = set()
         level_max = None
         for nodes in level:
-            succ = _successor_union(t, nodes)
-            if not succ:
+            exp = _expand(t, nodes, budget, wvalue, subcost)
+            if exp is None:
                 continue
-            take = min(budget, len(succ))
-            w_of = {x: wvalue(x) for x in succ}
-            c_of = {x: subcost(x) for x in succ}
-            r_all = sum(w_of.values())
-            c_all = sum(c_of.values())
-            for sub in itertools.combinations(succ, take):
-                factor = (r_all / sum(w_of[x] for x in sub)) * (sum(c_of[x] for x in sub) / c_all)
+            w_of, c_of = exp.w_of, exp.c_of
+            for sub in itertools.combinations(exp.succ, exp.take):
+                factor = (exp.r_all / sum(w_of[x] for x in sub)) * (sum(c_of[x] for x in sub) / exp.c_all)
                 if level_max is None or factor > level_max:
                     level_max = factor
                 key = tuple(sorted(sub))
@@ -318,6 +277,31 @@ def alpha_stats(
             product *= level_max
         level = nxt
     return AlphaStats(mean, var, max_alpha, product, len(od.outcomes))
+
+
+def _hypernode_recursion(t, budget, root, max_states, wvalue, subcost, step):
+    """Memoized recursion over the hypernodes reachable from ``root``.
+
+    ``step(nodes, exp, value_of)`` gives a hypernode's value from its
+    expansion (None when terminal) and the values of its hyperchildren.
+    """
+    if root is None:
+        root = t.root_hypernode
+    memo: dict = {}
+    visited = 0
+
+    def value_of(nodes):
+        nonlocal visited
+        known = memo.get(nodes)
+        if known is not None:
+            return known
+        visited += 1
+        if visited > max_states:
+            raise CapExceeded(f"more than {max_states} hypernode states")
+        memo[nodes] = step(nodes, _expand(t, nodes, budget, wvalue, subcost), value_of)
+        return memo[nodes]
+
+    return value_of(root.nodes)
 
 
 def recursive_variance(
@@ -339,45 +323,19 @@ def recursive_variance(
     is the closed-form twin of the enumeration variance and the pair is
     asserted equal in the test suite.
     """
-    if root is None:
-        root = t.root_hypernode
-    conv = Fraction if exact else float
-    subcost = _subtree_cost_fn(t, conv)
-    wvalue = lambda x: conv(float(weight(x)))
-    memo: dict = {}
-    visited = 0
+    conv, wvalue, subcost = _domain(t, weight, exact)
 
-    def var_of(nodes):
-        nonlocal visited
-        known = memo.get(nodes)
-        if known is not None:
-            return known
-        visited += 1
-        if visited > max_states:
-            raise CapExceeded(f"more than {max_states} hypernode states")
-        succ = _successor_union(t, nodes)
-        if not succ:
-            memo[nodes] = conv(0)
-            return memo[nodes]
-        take = min(budget, len(succ))
-        binom = comb(len(succ) - 1, take - 1)
-        w_of = {x: wvalue(x) for x in succ}
-        c_of = {x: subcost(x) for x in succ}
-        for x, w in w_of.items():
-            if not w > 0:
-                raise NonpositiveWeight(x, w)
-        r_all = sum(w_of.values())
-        c_all = sum(c_of.values())
+    def step(nodes, exp, var_of):
+        if exp is None:
+            return conv(0)
         acc = conv(0)
-        for sub in itertools.combinations(succ, take):
-            wnodes = tuple(sorted(sub))
-            r_sel = sum(w_of[x] for x in sub)
-            c_sel = sum(c_of[x] for x in sub)
-            acc += (r_all / r_sel) * (var_of(wnodes) + c_sel * c_sel) / binom
-        memo[nodes] = acc - c_all * c_all
-        return memo[nodes]
+        for sub in itertools.combinations(exp.succ, exp.take):
+            r_sel = sum(exp.w_of[x] for x in sub)
+            c_sel = sum(exp.c_of[x] for x in sub)
+            acc += (exp.r_all / r_sel) * (var_of(tuple(sorted(sub))) + c_sel * c_sel) / exp.binom
+        return acc - exp.c_all * exp.c_all
 
-    return var_of(root.nodes)
+    return _hypernode_recursion(t, budget, root, max_states, wvalue, subcost, step)
 
 
 def recursive_cv2(
@@ -392,49 +350,26 @@ def recursive_cv2(
 
     Same shape as ``recursive_variance`` but normalized by subtree costs
     level by level; must agree with variance / cost^2 exactly.  Raises on
-    a zero-cost forest, where the ratio is undefined.
+    a zero-cost forest, where the ratio is undefined, and on a
+    nonpositive weight.
     """
-    if root is None:
-        root = t.root_hypernode
-    conv = Fraction if exact else float
-    subcost = _subtree_cost_fn(t, conv)
-    wvalue = lambda x: conv(float(weight(x)))
-    memo: dict = {}
-    visited = 0
+    conv, wvalue, subcost = _domain(t, weight, exact)
 
-    def cv2_of(nodes):
-        nonlocal visited
-        known = memo.get(nodes)
-        if known is not None:
-            return known
-        visited += 1
-        if visited > max_states:
-            raise CapExceeded(f"more than {max_states} hypernode states")
+    def step(nodes, exp, cv2_of):
         cost_v = sum(subcost(x) for x in nodes)
         if cost_v == 0:
             raise ValueError(f"forest at {nodes!r} has zero total cost; CV undefined")
-        succ = _successor_union(t, nodes)
-        if not succ:
-            memo[nodes] = conv(0)
-            return memo[nodes]
-        take = min(budget, len(succ))
-        binom = comb(len(succ) - 1, take - 1)
-        w_of = {x: wvalue(x) for x in succ}
-        c_of = {x: subcost(x) for x in succ}
-        r_all = sum(w_of.values())
-        c_all = sum(c_of.values())
+        if exp is None:
+            return conv(0)
         acc = conv(0)
-        for sub in itertools.combinations(succ, take):
-            wnodes = tuple(sorted(sub))
-            r_sel = sum(w_of[x] for x in sub)
-            c_sel = sum(c_of[x] for x in sub)
-            ratio = c_sel / cost_v
-            acc += (r_all / r_sel) * ratio * ratio * (cv2_of(wnodes) + 1) / binom
-        ratio_s = c_all / cost_v
-        memo[nodes] = acc - ratio_s * ratio_s
-        return memo[nodes]
+        for sub in itertools.combinations(exp.succ, exp.take):
+            r_sel = sum(exp.w_of[x] for x in sub)
+            ratio = sum(exp.c_of[x] for x in sub) / cost_v
+            acc += (exp.r_all / r_sel) * ratio * ratio * (cv2_of(tuple(sorted(sub))) + 1) / exp.binom
+        ratio_s = exp.c_all / cost_v
+        return acc - ratio_s * ratio_s
 
-    return cv2_of(root.nodes)
+    return _hypernode_recursion(t, budget, root, max_states, wvalue, subcost, step)
 
 
 def cost_split_identity(t: TreeOracle, h: Hypernode, budget: int):
@@ -445,17 +380,13 @@ def cost_split_identity(t: TreeOracle, h: Hypernode, budget: int):
     contains each successor equally often, so the weights cancel.  Returns
     (lhs, rhs) as exact rationals for the caller to compare.
     """
-    subcost = _subtree_cost_fn(t, Fraction)
-    succ = _successor_union(t, h.nodes)
-    lhs = sum((subcost(x) for x in succ), Fraction(0))
-    if not succ:
-        return lhs, Fraction(0)
-    take = min(budget, len(succ))
-    binom = comb(len(succ) - 1, take - 1)
+    exp = _expand(t, h.nodes, budget, subcost=subtree_cost_function(t, Fraction))
+    if exp is None:
+        return Fraction(0), Fraction(0)
     rhs = Fraction(0)
-    for sub in itertools.combinations(succ, take):
-        rhs += sum(subcost(x) for x in sub) / Fraction(binom)
-    return lhs, rhs
+    for sub in itertools.combinations(exp.succ, exp.take):
+        rhs += sum(exp.c_of[x] for x in sub) / Fraction(exp.binom)
+    return sum(exp.c_of.values(), Fraction(0)), rhs
 
 
 def bounds_csv_row(instance: str, budget: int, importance: str, variance, cv2, stats: AlphaStats) -> list[str]:

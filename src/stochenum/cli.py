@@ -7,7 +7,7 @@ correctness check suite).
 
 Exit codes: 0 success, 1 verification or assertion failure (a failed
 ``verify`` check, an ``exact --method both`` mismatch, or a ``sweep
---verify-small`` mean off its exact count), 2 usage or input error, 3
+--verify-small`` pooled mean/exact ratio off 1), 2 usage or input error, 3
 resource cap exceeded or an estimate beyond double range
 (``EstimateOverflow``; one stderr line with the estimate's natural log).
 """
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -125,7 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact-ref", action="store_true",
                    help="divide by the exact squared count instead of the squared sample mean")
     p.add_argument("--verify-small", action="store_true",
-                   help="cross-check estimate means against exact counts where feasible")
+                   help="cross-check estimate means against exact counts (n <= 24): per point "
+                   "and kind, fail when the mean of the per-poset mean/exact ratios is more than "
+                   "5 standard errors from 1; a point with fewer than two exact counts is not checked")
     p.add_argument("--timing", action="store_true",
                    help="record wall time per row (breaks byte-reproducibility)")
     p.add_argument("--compare", action="store_true", help="print an importance ranking report")
@@ -147,9 +148,7 @@ def _load_instance(args):
         poset = load_poset(args.poset)
         return LEDecisionTree(poset), poset, args.poset
     name = args.fixture
-    if name == "example":
-        return fixture_example_tree(), None, name
-    if name == "example-importance":
+    if name in ("example", "example-importance"):
         return fixture_example_tree(), None, name
     if name == "poset-fig3":
         poset = fixture_poset()
@@ -201,21 +200,17 @@ def cmd_estimate(args) -> int:
     tree, poset, label = _load_instance(args)
     if args.fixture == "example-importance":
         dist = ImportanceInduced(fixture_example_importance())
+    elif args.importance == "uniform":
+        dist = UniformHyperchild()
     elif poset is not None:
-        if args.importance == "uniform":
-            dist = UniformHyperchild()
-        else:
-            dist = ImportanceInduced(importance_function(tree, args.importance))
+        dist = ImportanceInduced(importance_function(tree, args.importance))
+    elif args.importance == "ideal":
+        dist = ideal_cost_distribution(tree)
     else:
-        if args.importance == "uniform":
-            dist = UniformHyperchild()
-        elif args.importance == "ideal":
-            dist = ideal_cost_distribution(tree)
-        else:
-            raise ValueError(
-                f"importance {args.importance!r} needs a poset instance; "
-                "the plain tree fixture supports uniform and ideal"
-            )
+        raise ValueError(
+            f"importance {args.importance!r} needs a poset instance; "
+            "the plain tree fixture supports uniform and ideal"
+        )
     summary = run_many(tree, args.budget, dist, args.runs, args.seed, threads=args.threads)
     exact = None
     if poset is not None and poset.n <= MAX_DP_ELEMENTS:

@@ -52,8 +52,9 @@ class HypernodeDistribution:
     """How the next hypernode is chosen among the candidates.
 
     ``draw`` samples; ``probability`` reports the exact selection
-    probability of one candidate as a rational; ``support`` enumerates
-    every candidate with its probability (exponential, analysis only).
+    probability of one candidate as a rational; ``support(succ, budget)``
+    enumerates every candidate with its probability (exponential, for
+    the exact analysis).
     """
 
     def draw(self, succ: tuple, budget: int, choice: ChoiceSource) -> Draw:
@@ -61,11 +62,6 @@ class HypernodeDistribution:
 
     def probability(self, succ: tuple, nodes: Sequence, budget: int) -> Fraction:
         raise NotImplementedError
-
-    def support(self, succ: tuple, budget: int):
-        take = min(budget, len(succ))
-        for sub in itertools.combinations(succ, take):
-            yield tuple(sorted(sub)), self.probability(succ, sub, budget)
 
 
 class UniformHyperchild(HypernodeDistribution):
@@ -352,10 +348,6 @@ class RunSummary:
         if self.variance is None or self.mean == 0.0:
             return None
         return self.variance / (self.mean * self.mean)
-
-    @property
-    def cv2(self) -> float | None:
-        return self.rel_variance
 
     def to_dict(self) -> dict:
         return {

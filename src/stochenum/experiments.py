@@ -170,13 +170,7 @@ def _poset_task(args) -> tuple[int, int, dict]:
         run_seed = derive_seed(cfg.seed, "run", point_idx, poset_idx, imp_idx)
         estimates = _run_block(tree, root, budget, dist, run_seed, 0, estimates_n)
         summary = summarize(estimates)
-        if cfg.verify_small and exact is not None and summary.stderr and summary.stderr > 0:
-            if abs(summary.mean - exact) > 5 * summary.stderr:
-                raise VerificationFailure(
-                    f"estimate mean {summary.mean} is more than 5 standard errors from the "
-                    f"exact count {exact} (n={n}, B={budget}, importance={imp}, "
-                    f"poset seed path ({cfg.seed}, 'poset', {point_idx}, {poset_idx}))"
-                )
+        ratio = summary.mean / exact if cfg.verify_small and exact is not None else None
         denom = exact if (cfg.exact_reference and exact is not None) else summary.mean
         if denom == 0:
             rel = None
@@ -186,8 +180,27 @@ def _poset_task(args) -> tuple[int, int, dict]:
         if hasattr(weight, "guard_hits"):
             guard = (weight.guard_hits, weight.evaluations)
         seconds = (time.perf_counter() - t0) if cfg.timing else None
-        out[imp] = (rel, guard, seconds)
+        out[imp] = (rel, guard, seconds, ratio)
     return point_idx, poset_idx, out
+
+
+def _check_ratios(ratios: list[float], n: int, budget: int, imp: str) -> None:
+    """Pooled ``verify_small`` test of one (point, importance) cell.
+
+    Each poset's mean/exact ratio has expectation 1; fails when their mean
+    is more than 5 standard errors (+1e-9 for rounding) from 1.  Fewer
+    than two ratios give no standard error and are not checked.
+    """
+    k = len(ratios)
+    if k < 2:
+        return
+    mean = math.fsum(ratios) / k
+    stderr = math.sqrt(math.fsum((r - mean) ** 2 for r in ratios) / (k - 1) / k)
+    if abs(mean - 1) > 5 * stderr + 1e-9:
+        raise VerificationFailure(
+            f"mean of estimate/exact ratios {mean!r} over {k} posets is more than 5 standard "
+            f"errors ({stderr!r}) from 1 (n={n}, B={budget}, importance={imp})"
+        )
 
 
 def run_sweep(cfg: SweepConfig, threads: int = 1) -> list[SweepRow]:
@@ -217,8 +230,10 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> list[SweepRow]:
         n, budget = cfg.point(value)
         for imp in cfg.importance:
             cell = sorted(by_cell.get((point_idx, imp), ()))
-            rels = [rel for _, (rel, _, _) in cell if rel is not None]
-            zero_mean = sum(1 for _, (rel, _, _) in cell if rel is None)
+            if cfg.verify_small:
+                _check_ratios([r for _, (_, _, _, r) in cell if r is not None], n, budget, imp)
+            rels = [rel for _, (rel, _, _, _) in cell if rel is not None]
+            zero_mean = sum(1 for _, (rel, _, _, _) in cell if rel is None)
             if rels:
                 mean_rel = math.fsum(rels) / len(rels)
                 if len(rels) > 1:
@@ -229,12 +244,12 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> list[SweepRow]:
             else:
                 mean_rel = float("nan")
                 stderr = float("nan")
-            hits = sum(g[0] for _, (_, g, _) in cell if g is not None)
-            evals = sum(g[1] for _, (_, g, _) in cell if g is not None)
+            hits = sum(g[0] for _, (_, g, _, _) in cell if g is not None)
+            evals = sum(g[1] for _, (_, g, _, _) in cell if g is not None)
             guard_frac = (hits / evals) if evals else None
             seconds = None
             if cfg.timing:
-                seconds = math.fsum(s for _, (_, _, s) in cell if s is not None)
+                seconds = math.fsum(s for _, (_, _, s, _) in cell if s is not None)
             rows.append(
                 SweepRow(
                     kind=cfg.kind,

@@ -278,9 +278,6 @@ class LEDecisionTree(TreeOracle):
     def cost(self, node) -> float:
         return 1.0 if len(node[0]) == self.n else 0.0
 
-    def depth(self, node) -> int:
-        return len(node[0])
-
     def subtree_cost(self, node) -> int:
         return self.completions(node[1])
 
@@ -294,19 +291,6 @@ class LEDecisionTree(TreeOracle):
             total += self.completions(deleted | (1 << e))
         self._count_memo[deleted] = total
         return total
-
-    def features(self, node) -> tuple[int, int, int]:
-        """(siblings including self, poset descendants including self, height).
-
-        Undefined at the root, which never appears in a successor set.
-        """
-        prefix, deleted = node
-        if not prefix:
-            raise ValueError("the root node has no choice-point features")
-        elem = prefix[-1]
-        parent_deleted = deleted & ~(1 << elem)
-        sib = len(self.maximal_after(parent_deleted))
-        return sib, self._desc[elem], self.n - len(prefix)
 
     def fast_run_block(self, budget: int, weight, seed: int, start: int, stop: int) -> list[float]:
         """Estimates from the root for run indices [start, stop).

@@ -14,11 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from fractions import Fraction
-from math import comb
 from typing import Callable, Sequence
-
-from .tree import Hypernode
 
 # A weight function maps node references to strictly positive numbers
 # (int, float or Fraction all work; analysis code treats the returned
@@ -56,10 +52,6 @@ class RandomSource:
 
     def randrange(self, k: int) -> int:
         return self._rng.randrange(k)
-
-    def substream(self, index) -> "RandomSource":
-        """Independent stream for run ``index``; single-owner, not shared."""
-        return RandomSource(derive_seed(self.seed, index))
 
 
 class ChoiceSource:
@@ -155,29 +147,6 @@ class ScriptedChoice(ChoiceSource):
             raise ScriptError(f"scripted label {label!r} not among candidates {list(labels)!r}") from None
 
 
-def weighted_pick(weights: Sequence, choice: ChoiceSource, labels: Sequence | None = None) -> int:
-    """Pick an index proportionally to ``weights``.
-
-    All weights must be strictly positive and the sequence nonempty.
-    Linear cumulative scan; candidate sets here are small per step.
-    """
-    if len(weights) == 0:
-        raise ValueError("cannot pick from an empty weight sequence")
-    for i, w in enumerate(weights):
-        if not w > 0:
-            node = labels[i] if labels is not None else i
-            raise NonpositiveWeight(node, w)
-    return choice.pick_weighted(weights, labels)
-
-
-def uniform_subset(pool: Sequence, k: int, choice: ChoiceSource) -> tuple:
-    """Uniformly random k-subset of ``pool`` (selection order, not sorted)."""
-    if k < 0 or k > len(pool):
-        raise ValueError(f"cannot draw {k} elements from a pool of {len(pool)}")
-    picked = choice.pick_subset(len(pool), k, labels=pool)
-    return tuple(pool[i] for i in picked)
-
-
 def _draw_two_phase(succ: Sequence, weights: Sequence[float], take: int, choice: ChoiceSource) -> tuple:
     """One weighted pick, then take-1 more uniformly from the rest.
 
@@ -192,34 +161,3 @@ def _draw_two_phase(succ: Sequence, weights: Sequence[float], take: int, choice:
     del rest_pool[first]
     picked = choice.pick_subset(len(rest_pool), take - 1, labels=rest_pool)
     return (first,) + tuple(j if j < first else j + 1 for j in picked)
-
-
-def select_hypernode_by_importance(
-    succ: Sequence,
-    budget: int,
-    weight: WeightFunction,
-    choice: ChoiceSource,
-) -> tuple[Hypernode, Fraction]:
-    """Draw the next hypernode with probability proportional to its weight.
-
-    The two-phase procedure (one weighted pick, the rest uniform) selects
-    each candidate subset w with exact probability
-
-        P(w) = (r(w) / r(S)) / C(|S| - 1, |w| - 1)
-
-    which is returned alongside the hypernode as an exact rational in
-    terms of the evaluated weights.
-    """
-    if not succ:
-        raise ValueError("successor set is empty; no hypernode to select")
-    succ = tuple(succ)
-    raw = [weight(x) for x in succ]
-    for node, w in zip(succ, raw):
-        if not w > 0:
-            raise NonpositiveWeight(node, w)
-    take = min(budget, len(succ))
-    sel = _draw_two_phase(succ, [float(w) for w in raw], take, choice)
-    r_all = sum(Fraction(w) for w in raw)
-    r_sel = sum(Fraction(raw[i]) for i in sel)
-    prob = r_sel / r_all / comb(len(succ) - 1, take - 1)
-    return Hypernode(tuple(succ[i] for i in sel)), prob

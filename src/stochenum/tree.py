@@ -13,9 +13,7 @@ different paths are different nodes, whatever else they have in common).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import comb
 from typing import Callable, Hashable, Iterator, Sequence
 
 from .errors import CapExceeded
@@ -23,7 +21,6 @@ from .errors import CapExceeded
 NodeRef = Hashable
 
 DEFAULT_NODE_CAP = 10_000_000
-DEFAULT_HYPERCHILD_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -59,9 +56,9 @@ class Hypernode:
 class TreeOracle:
     """Read-only description of a finite rooted forest.
 
-    Subclasses implement ``successors``, ``cost`` and ``depth``.  All three
-    must be deterministic pure functions of the node reference; estimator
-    workers share one oracle instance across threads and processes.
+    Subclasses implement ``successors`` and ``cost``.  Both must be
+    deterministic pure functions of the node reference; estimator workers
+    share one oracle instance across threads and processes.
     """
 
     @property
@@ -75,20 +72,13 @@ class TreeOracle:
     def cost(self, node) -> float:
         raise NotImplementedError
 
-    def depth(self, node) -> int:
-        raise NotImplementedError
-
     # Optional fast path; ``subtree_cost_function`` falls back to traversal.
     subtree_cost: Callable | None = None
 
 
-def hypernode_cost(h: Hypernode, t: TreeOracle) -> float:
-    """Total cost of the member nodes (not their subtrees)."""
-    return sum(t.cost(v) for v in h)
-
-
-def hypernode_successors(h: Hypernode, t: TreeOracle) -> tuple:
-    """Successor union of a hypernode, member order then child order.
+def hypernode_successors(h: Hypernode | Sequence, t: TreeOracle) -> tuple:
+    """Successor union of a hypernode (or its member tuple), member order
+    then child order.
 
     In a well-formed forest the per-member successor sets are disjoint;
     the dedup only guards against oracles that accidentally share children.
@@ -126,16 +116,24 @@ def exact_forest_cost(
     return total
 
 
-def subtree_cost_function(t: TreeOracle) -> Callable:
-    """Exact cost of the full subtree under each node, memoized.
+def subtree_cost_function(t: TreeOracle, conv: Callable = float) -> Callable:
+    """Exact cost of the full subtree under each node, memoized per node.
 
-    Uses the oracle's own ``subtree_cost`` when it provides one (decision
-    trees back it by dynamic programming); otherwise computes costs by an
-    iterative post-order pass and caches them per node.
+    ``conv`` maps a cost into the numeric domain of the result (``float``,
+    or ``Fraction`` for exact analysis).  Uses the oracle's own
+    ``subtree_cost`` when it provides one (decision trees back it by
+    dynamic programming); otherwise computes costs by an iterative
+    post-order pass.
     """
-    if t.subtree_cost is not None:
-        return t.subtree_cost
+    fast = t.subtree_cost
     memo: dict = {}
+    if fast is not None:
+        def cost_of(node):
+            v = memo.get(node)
+            if v is None:
+                v = memo[node] = conv(fast(node))
+            return v
+        return cost_of
 
     def cost_of(node):
         if node in memo:
@@ -147,39 +145,13 @@ def subtree_cost_function(t: TreeOracle) -> Callable:
                 continue
             children = t.successors(cur)
             if expanded or not children:
-                memo[cur] = t.cost(cur) + sum(memo[c] for c in children)
+                memo[cur] = conv(t.cost(cur)) + sum(memo[c] for c in children)
             else:
                 stack.append((cur, True))
                 stack.extend((c, False) for c in children if c not in memo)
         return memo[node]
 
     return cost_of
-
-
-def hyperchildren(
-    h: Hypernode,
-    t: TreeOracle,
-    budget: int,
-    max_hyperchildren: int = DEFAULT_HYPERCHILD_CAP,
-) -> list[Hypernode]:
-    """All candidate next hypernodes of ``h`` under ``budget``.
-
-    These are every size-min(budget, |S|) subset of the successor union,
-    in deterministic order.  Exponential; analysis-only.
-    """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    succ = hypernode_successors(h, t)
-    if not succ:
-        return []
-    take = min(budget, len(succ))
-    n_choices = comb(len(succ), take)
-    if n_choices > max_hyperchildren:
-        raise CapExceeded(
-            f"{n_choices} hyperchildren of a {len(succ)}-successor hypernode "
-            f"exceed the cap of {max_hyperchildren}"
-        )
-    return [Hypernode(sub) for sub in itertools.combinations(succ, take)]
 
 
 class ExplicitTree(TreeOracle):
@@ -196,18 +168,14 @@ class ExplicitTree(TreeOracle):
         self._roots = tuple(roots)
         self._costs = dict(costs) if costs else {}
         self._default_cost = float(default_cost)
-        self._depths = {}
+        seen = set()
         frontier = list(self._roots)
-        d = 0
         while frontier:
-            nxt = []
-            for node in frontier:
-                if node in self._depths:
-                    raise ValueError(f"node {node!r} has two parents or is a root twice")
-                self._depths[node] = d
-                nxt.extend(self._children.get(node, ()))
-            frontier = nxt
-            d += 1
+            node = frontier.pop()
+            if node in seen:
+                raise ValueError(f"node {node!r} has two parents or is a root twice")
+            seen.add(node)
+            frontier.extend(self._children.get(node, ()))
 
     @property
     def root_hypernode(self) -> Hypernode:
@@ -218,12 +186,6 @@ class ExplicitTree(TreeOracle):
 
     def cost(self, node) -> float:
         return self._costs.get(node, self._default_cost)
-
-    def depth(self, node) -> int:
-        return self._depths[node]
-
-    def all_nodes(self) -> tuple:
-        return tuple(self._depths)
 
 
 # 14-node worked-example tree used throughout the tests: unit costs, five

@@ -41,6 +41,7 @@ from .tree import (
     fixture_example_importance,
     fixture_example_tree,
     hypernode_successors,
+    subtree_cost_function,
 )
 
 DEFAULT_SEED = 20240501
@@ -217,9 +218,7 @@ def check_cost_split_identity(trees, budgets, seed) -> CheckResult:
 
 
 def _exact_cost(t) -> Fraction:
-    from .analysis import _subtree_cost_fn
-
-    subcost = _subtree_cost_fn(t, Fraction)
+    subcost = subtree_cost_function(t, Fraction)
     return sum((subcost(v) for v in t.root_hypernode), Fraction(0))
 
 

@@ -27,12 +27,10 @@ drawn from seeded posets filtered to fit the stated enumeration caps.
 """
 
 import time
-from fractions import Fraction
 
 import pytest
 
 from stochenum.analysis import (
-    alpha_stats,
     cost_split_identity,
     enumerate_distribution,
     recursive_cv2,
@@ -42,22 +40,19 @@ from stochenum.estimators import (
     ImportanceInduced,
     UniformHyperchild,
     ideal_cost_distribution,
-    knuth_estimate,
     run_many,
     sep_estimate,
-    sei_estimate,
 )
 from stochenum.experiments import SweepConfig, rows_to_csv, run_sweep
-from stochenum.posets import LEDecisionTree, count_linear_extensions, fixture_poset, importance_function, random_poset
-from stochenum.sampling import RandomChoice, RandomSource, ScriptedChoice, derive_seed
+from stochenum.posets import LEDecisionTree, count_linear_extensions, importance_function, random_poset
+from stochenum.sampling import RandomChoice, RandomSource, derive_seed
 from stochenum.tree import (
     Hypernode,
-    exact_forest_cost,
     fixture_example_importance,
     fixture_example_tree,
     hypernode_successors,
 )
-from stochenum.verify import enumerable_posets
+from stochenum.verify import check_alpha_suite, check_fixture_golden, enumerable_posets
 
 SEED = 20240501
 POSET_WEIGHTS = ("uniform", "f1", "f2", "f3")
@@ -99,34 +94,11 @@ def small_bundles(small_instances):
 
 def test_criterion_1_golden_fixtures():
     t0 = time.perf_counter()
-    t = fixture_example_tree()
-    assert exact_forest_cost(t) == 14.0
-
-    script = ScriptedChoice([
-        ("subset", ("b", "c")), ("subset", ("d", "e")),
-        ("subset", ("h", "i")), ("subset", ("m",)),
-    ])
-    traj = sep_estimate(t, 2, UniformHyperchild(), script)
-    assert traj.estimate == 12.75 and script.exhausted()
-
-    script = ScriptedChoice([
-        ("weighted", "c"), ("subset", ("b",)),
-        ("weighted", "e"), ("subset", ("d",)),
-        ("weighted", "i"), ("subset", ("h",)),
-        ("weighted", "m"),
-    ])
-    traj = sei_estimate(t, 2, fixture_example_importance(), script)
-    assert traj.estimate == 13.0
-    assert traj.d_products == (2.0, 2.5, 5.0, 2.5)
-    assert script.exhausted()
-
-    poset = fixture_poset()
-    assert count_linear_extensions(poset) == 7
-    assert exact_forest_cost(LEDecisionTree(poset)) == 7.0
-
+    res = check_fixture_golden()
     elapsed = time.perf_counter() - t0
+    assert res.passed, res.failures
     assert elapsed < 1.0
-    report(1, f"replays 12.75 / 13.0 with D (2, 5/2, 5, 5/2); counts 14 and 7; {elapsed:.3f}s")
+    report(1, f"replays 12.75 / 13.0 with D (2, 5/2, 5, 5/2) and 15; counts 14 and 7; {elapsed:.3f}s")
 
 
 def test_criterion_2_deterministic_unbiasedness(small_bundles):
@@ -204,26 +176,19 @@ def test_criterion_4_alpha_suite():
             (f"poset-{i}(n={poset.n})", tree, [(k, importance_function(tree, k)) for k in POSET_WEIGHTS])
         )
 
-    cells = 0
+    # Expected alpha exactly 1 (within 1e-12 a fortiori) and the bound
+    # chain with zero tolerance on direction, on the verify code path.
+    res = check_alpha_suite(instances, (1, 2, 3), 20_000)
+    assert res.passed, res.failures
+    assert res.instances == sum(3 * len(weights) for _, _, weights in instances)
     identity_checked = 0
     for label, tree, weights in instances:
         for budget in (1, 2, 3):
-            for kind, weight in weights:
-                stats = alpha_stats(tree, budget, weight, max_sequences=20_000)
-                cv2 = recursive_cv2(tree, budget, weight)
-                assert stats.mean == 1, f"{label} B={budget} {kind}: E[alpha] = {stats.mean}"
-                assert abs(stats.mean - 1) <= Fraction(1, 10**12)
-                # bound chain, zero tolerance on direction
-                assert cv2 <= stats.variance, f"{label} B={budget} {kind}"
-                assert cv2 <= stats.max_value - 1, f"{label} B={budget} {kind}"
-                assert cv2 <= stats.level_max_product - 1, f"{label} B={budget} {kind}"
-                assert stats.variance + stats.mean ** 2 <= stats.max_value * stats.mean
-                cells += 1
             for h in _reachable_hypernodes(tree, budget):
                 lhs, rhs = cost_split_identity(tree, h, budget)
                 assert lhs == rhs, f"{label} B={budget}: identity broke at {h!r}"
                 identity_checked += 1
-    report(4, f"{cells} alpha cells exact, identity exact on {identity_checked} hypernodes")
+    report(4, f"{res.instances} alpha cells exact, identity exact on {identity_checked} hypernodes")
 
 
 def test_criterion_5_zero_variance():

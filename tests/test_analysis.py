@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from stochenum.analysis import (
-    alpha,
     alpha_stats,
     cost_split_identity,
     count_sequences,
@@ -17,7 +16,13 @@ from stochenum.errors import CapExceeded
 from stochenum.estimators import ImportanceInduced, UniformHyperchild, ideal_cost_distribution
 from stochenum.posets import LEDecisionTree, count_linear_extensions, importance_function, random_poset
 from stochenum.sampling import NonpositiveWeight
-from stochenum.tree import ExplicitTree, Hypernode, fixture_example_importance, fixture_example_tree
+from stochenum.tree import (
+    ExplicitTree,
+    Hypernode,
+    fixture_example_importance,
+    fixture_example_tree,
+    subtree_cost_function,
+)
 from stochenum.verify import random_tree
 
 UNIFORM = lambda node: 1.0
@@ -88,8 +93,6 @@ def test_variance_zero_cases():
 
 
 def _fixture_subtree(node):
-    from stochenum.tree import fixture_example_tree, subtree_cost_function
-
     return subtree_cost_function(fixture_example_tree())(node)
 
 
@@ -108,9 +111,22 @@ def test_cv2_rejects_zero_cost_forest():
         recursive_cv2(t, 1, UNIFORM)
 
 
-def test_alpha_base_cases():
+def test_cv2_rejects_nonpositive_weight():
+    # The same check as recursive_variance and alpha_stats, for -1 everywhere
+    # and for one zero weight.
     t = fixture_example_tree()
-    assert alpha((t.root_hypernode,), t, UNIFORM) == 1
+    for bad in (lambda node: -1.0, lambda node: 0.0 if node == "m" else 1.0):
+        for fn in (recursive_cv2, recursive_variance, alpha_stats):
+            with pytest.raises(NonpositiveWeight):
+                fn(t, 2, bad)
+
+
+def test_alpha_base_cases():
+    # A one-node forest has one outcome, with the empty product 1.
+    leaf = ExplicitTree({}, roots=("v",))
+    od = enumerate_distribution(leaf, 2, ImportanceInduced(UNIFORM), weight=UNIFORM, keep_sequences=True)
+    assert [(o.sequence, o.alpha) for o in od.outcomes] == [((Hypernode(("v",)),), 1)]
+    t = fixture_example_tree()
     ideal = lambda node: float(_fixture_subtree(node))
     od = enumerate_distribution(t, 2, ImportanceInduced(ideal), weight=ideal)
     assert all(o.alpha == 1 for o in od.outcomes)
@@ -124,14 +140,16 @@ def test_alpha_on_worked_weighted_trajectory():
         Hypernode(("a",)), Hypernode(("b", "c")), Hypernode(("d", "e")),
         Hypernode(("h", "i")), Hypernode(("m",)),
     )
-    assert alpha(seq, t, w) == Fraction(10, 11)
+    od = enumerate_distribution(t, 2, ImportanceInduced(w), weight=w, keep_sequences=True)
+    assert [o.alpha for o in od.outcomes if o.sequence == seq] == [Fraction(10, 11)]
 
 
 def test_alpha_rejects_nonpositive_weight():
     t = fixture_example_tree()
     bad = lambda node: -1.0 if node == "c" else 1.0
-    with pytest.raises(NonpositiveWeight):
-        alpha((Hypernode(("a",)), Hypernode(("b", "c"))), t, bad)
+    with pytest.raises(NonpositiveWeight) as err:
+        enumerate_distribution(t, 2, UniformHyperchild(), weight=bad, keep_sequences=True)
+    assert err.value.node == "c"
 
 
 def test_alpha_stats_expectation_is_one():
@@ -167,9 +185,7 @@ def test_unbiasedness_on_random_explicit_trees():
     # narrow random trees keep the outcome space enumerable
     for i in range(6):
         t = random_tree(i, max_depth=3, max_children=3)
-        from stochenum.analysis import _subtree_cost_fn
-
-        cost = sum((_subtree_cost_fn(t, Fraction)(v) for v in t.root_hypernode), Fraction(0))
+        cost = sum((subtree_cost_function(t, Fraction)(v) for v in t.root_hypernode), Fraction(0))
         for budget in (1, 2, 3):
             od = enumerate_distribution(t, budget, UniformHyperchild(), max_sequences=300_000)
             assert od.mean == cost

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from stochenum import experiments
 from stochenum.cli import main
 from stochenum.errors import CapExceeded
 from stochenum.estimators import ExplicitDistribution
@@ -251,17 +252,33 @@ def test_threads_below_one_rejected(monkeypatch, tmp_path, capsys, flag, env, co
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_sweep_verify_small_failure_exit_code(capsys, threads):
-    # B=1 uniform estimates from 3 runs are heavy-tailed: on this seed one
-    # poset's mean sits more than 5 stderr from its exact count.
+def test_sweep_verify_small_failure_exit_code(monkeypatch, capsys, threads):
+    # A biased estimator (every estimate x1.5) fails the pooled check with
+    # one stderr line, in the parent process and in pool workers alike.
+    run_block = experiments._run_block
+    monkeypatch.setattr(experiments, "_run_block", lambda *a: [1.5 * x for x in run_block(*a)])
     code, out, err = run_cli(
-        capsys, "--threads", threads, "--seed", "1", "sweep", "--kind", "n", "--values", "12",
-        "--budget", "1", "--posets", "40", "--estimates", "3", "--importance", "uniform",
+        capsys, "--threads", threads, "--seed", "1", "sweep", "--kind", "n", "--values", "10",
+        "--budget", "5", "--posets", "12", "--estimates", "64", "--importance", "f2",
         "--verify-small",
     )
     assert code == 1 and out == ""
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
-    assert err.startswith("verification failure:") and "5 standard errors" in err
+    assert err.startswith("verification failure:") and "5 standard" in err
+
+
+@pytest.mark.parametrize("argv", [
+    # float rounding alone: a mean 2138400.0000000005 against 2138400
+    ("--seed", "3", "sweep", "--kind", "n", "--values", "12", "--budget", "1",
+     "--posets", "25", "--estimates", "144"),
+    # 3 heavy-tailed B=1 estimates per poset
+    ("--seed", "1", "sweep", "--kind", "n", "--values", "12", "--budget", "1",
+     "--posets", "40", "--estimates", "3", "--importance", "uniform"),
+])
+def test_sweep_verify_small_passes_correct_estimates(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--verify-small")
+    assert code == 0 and err == ""
+    assert out.startswith("kind,n,B,importance")
 
 
 def test_verify_cap_too_small_exit_code(capsys):

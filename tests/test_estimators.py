@@ -198,7 +198,6 @@ def test_summarize_basic():
     assert s.variance == 4.0
     assert s.stderr == pytest.approx(math.sqrt(4.0 / 3))
     assert s.rel_variance == 0.25
-    assert s.cv2 == s.rel_variance
 
 
 def test_summarize_single_run_flags():

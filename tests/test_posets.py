@@ -163,9 +163,6 @@ def test_decision_tree_structure():
     # two maximal elements at the top
     assert [k[0][-1] for k in kids] == [0, 1]
     assert tree.cost(root) == 0.0
-    assert tree.depth(root) == 0
-    for k in kids:
-        assert tree.depth(k) == 1
     assert tree.subtree_cost(root) == 7
 
 
@@ -186,16 +183,17 @@ def test_decision_tree_paths_are_valid_extensions():
 
 
 def test_features_match_structure():
+    # The f-weights of the root's children read (siblings, descendants, height).
     p = fixture_poset()
     tree = LEDecisionTree(p)
-    root = ((), 0)
-    for child in tree.successors(root):
-        sib, desc, height = tree.features(child)
-        assert sib == len(tree.successors(root))
-        assert 1 <= desc <= height + 1
-        assert height == p.n - 1
-    with pytest.raises(ValueError):
-        tree.features(root)
+    kids = tree.maximal_after(0)
+    sib, height, desc = len(kids), p.n - 1, p.descendant_counts()
+    assert sib == len(tree.successors(((), 0)))
+    assert all(1 <= desc[e] <= height + 1 for e in kids)
+    values = {kind: importance_function(tree, kind).child_values(0, kids) for kind in ("f1", "f2", "f3")}
+    assert values["f1"] == [float(sib ** 3)] * sib
+    assert values["f2"] == [float(sib ** 3 * desc[e]) for e in kids]
+    assert values["f3"] == [sib ** 3 * (height + desc[e]) / max(1, height - desc[e]) for e in kids]
 
 
 def test_height_ratio_weight_spot_value():

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from stochenum.estimators import ImportanceInduced
 from stochenum.sampling import (
     NonpositiveWeight,
     RandomChoice,
@@ -15,11 +16,7 @@ from stochenum.sampling import (
     ScriptedChoice,
     ScriptError,
     derive_seed,
-    select_hypernode_by_importance,
-    uniform_subset,
-    weighted_pick,
 )
-from stochenum.tree import Hypernode
 
 
 def two_phase_exact_marginals(weights, budget):
@@ -65,57 +62,55 @@ def test_random_source_determinism():
     a = RandomSource(42)
     b = RandomSource(42)
     assert [a.random() for _ in range(5)] == [b.random() for _ in range(5)]
-    assert RandomSource(42).substream(3).random() == RandomSource(42).substream(3).random()
-    assert RandomSource(42).substream(3).random() != RandomSource(42).substream(4).random()
+    assert RandomSource(derive_seed(42, 3)).random() == RandomSource(derive_seed(42, 3)).random()
+    assert RandomSource(derive_seed(42, 3)).random() != RandomSource(derive_seed(42, 4)).random()
 
 
 def test_weighted_pick_errors():
+    # The walk's weighted draw rejects a nonpositive weight and names the node.
     c = RandomChoice(1)
-    with pytest.raises(ValueError):
-        weighted_pick([], c)
-    with pytest.raises(NonpositiveWeight):
-        weighted_pick([1.0, 0.0], c)
-    with pytest.raises(NonpositiveWeight):
-        weighted_pick([1.0, -2.0], c)
+    for bad in (0.0, -2.0):
+        weights = {"a": 1.0, "b": bad}
+        with pytest.raises(NonpositiveWeight) as err:
+            ImportanceInduced(weights.__getitem__).draw(("a", "b"), 1, c)
+        assert err.value.node == "b" and err.value.value == bad
 
 
 def test_weighted_pick_singleton():
     c = RandomChoice(5)
-    assert all(weighted_pick([3.0], c) == 0 for _ in range(20))
+    assert all(c.pick_weighted([3.0]) == 0 for _ in range(20))
 
 
 def test_weighted_pick_frequencies():
     # weights (2, 3): second index should land near 3/5 of the time
     c = RandomChoice(123)
     n = 100_000
-    hits = sum(weighted_pick([2.0, 3.0], c) for _ in range(n))
+    hits = sum(c.pick_weighted([2.0, 3.0]) for _ in range(n))
     assert abs(hits / n - 0.6) < 3 * math.sqrt(0.6 * 0.4 / n)
     # weights (2, 2, 1): middle index near 2/5
     c = RandomChoice(321)
-    mid = sum(1 for _ in range(n) if weighted_pick([2.0, 2.0, 1.0], c) == 1)
+    mid = sum(1 for _ in range(n) if c.pick_weighted([2.0, 2.0, 1.0]) == 1)
     assert abs(mid / n - 0.4) < 3 * math.sqrt(0.4 * 0.6 / n)
 
 
 def test_uniform_subset_edges():
     c = RandomChoice(7)
-    assert uniform_subset(("b",), 1, c) == ("b",)
-    assert uniform_subset(("g", "h"), 0, c) == ()
-    with pytest.raises(ValueError):
-        uniform_subset(("g", "h"), 3, c)
+    assert c.pick_subset(1, 1) == (0,)
+    assert c.pick_subset(2, 0) == ()
+    assert sorted(c.pick_subset(3, 3)) == [0, 1, 2]
 
 
 def test_uniform_subset_two_pool_split():
     c = RandomChoice(99)
     n = 100_000
-    g = sum(1 for _ in range(n) if uniform_subset(("g", "h"), 1, c) == ("g",))
+    g = sum(1 for _ in range(n) if c.pick_subset(2, 1) == (0,))
     assert abs(g / n - 0.5) < 3 * math.sqrt(0.25 / n)
 
 
 def test_uniform_subset_uniform_over_pairs():
     c = RandomChoice(4242)
-    pool = ("a", "b", "c", "d")
     n = 60_000
-    counts = Counter(frozenset(uniform_subset(pool, 2, c)) for _ in range(n))
+    counts = Counter(frozenset(c.pick_subset(4, 2)) for _ in range(n))
     assert len(counts) == 6
     for freq in counts.values():
         assert abs(freq / n - 1 / 6) < 4 * math.sqrt((1 / 6) * (5 / 6) / n)
@@ -127,32 +122,41 @@ def test_select_hypernode_probability_formula():
     assert marg[(1, 2)] == Fraction(1, 4)
     assert marg[(0, 1)] == Fraction(3, 8)
     weights = {"g": 2.0, "h": 1.0, "i": 1.0}
+    dist = ImportanceInduced(weights.__getitem__)
+    succ = ("g", "h", "i")
     c = RandomChoice(11)
     seen = set()
     for _ in range(200):
-        w, p = select_hypernode_by_importance(("g", "h", "i"), 2, weights.__getitem__, c)
-        r_w = sum(Fraction(weights[x]) for x in w)
+        draw = dist.draw(succ, 2, c)
+        p = dist.probability(succ, draw.nodes, 2)
+        r_w = sum(Fraction(weights[x]) for x in draw.nodes)
         assert p == r_w / Fraction(4) / 2
-        if w.nodes == ("h", "i"):
+        assert draw.probability == float(p)
+        nodes = tuple(sorted(draw.nodes))
+        if nodes == ("h", "i"):
             assert p == Fraction(1, 4)
-        seen.add(w.nodes)
+        seen.add(nodes)
     assert seen == {("g", "h"), ("g", "i"), ("h", "i")}
 
 
 def test_select_hypernode_singleton_and_uniform():
     c = RandomChoice(3)
-    w, p = select_hypernode_by_importance(("m",), 2, lambda x: 1.0, c)
-    assert w == Hypernode(("m",)) and p == 1
+    dist = ImportanceInduced(lambda x: 1.0)
+    draw = dist.draw(("m",), 2, c)
+    assert draw.nodes == ("m",) and dist.probability(("m",), draw.nodes, 2) == 1
     for _ in range(50):
-        w, p = select_hypernode_by_importance(("d", "e", "f"), 2, lambda x: 1.0, c)
-        assert p == Fraction(1, 3)
+        draw = dist.draw(("d", "e", "f"), 2, c)
+        assert dist.probability(("d", "e", "f"), draw.nodes, 2) == Fraction(1, 3)
 
 
 def test_select_hypernode_rejects_nonpositive():
     c = RandomChoice(3)
+    dist = ImportanceInduced(lambda x: 0.0 if x == "b" else 1.0)
     with pytest.raises(NonpositiveWeight) as err:
-        select_hypernode_by_importance(("a", "b"), 2, lambda x: 0.0 if x == "b" else 1.0, c)
+        dist.draw(("a", "b"), 2, c)
     assert err.value.node == "b"
+    with pytest.raises(NonpositiveWeight):
+        dist.probability(("a", "b"), ("a",), 2)
 
 
 def test_two_phase_marginals_match_closed_form():
@@ -204,8 +208,8 @@ def test_same_seed_identical_draw_sequence():
         c = RandomChoice(RandomSource(seed))
         out = []
         for _ in range(50):
-            out.append(weighted_pick([1.0, 2.0, 3.0], c))
-            out.append(uniform_subset(tuple("abcdef"), 3, c))
+            out.append(c.pick_weighted([1.0, 2.0, 3.0]))
+            out.append(c.pick_subset(6, 3))
         return out
 
     assert draws(2024) == draws(2024)

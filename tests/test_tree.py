@@ -7,6 +7,8 @@ import pytest
 
 from stochenum.analysis import cost_split_identity
 from stochenum.errors import CapExceeded
+from stochenum.estimators import UniformHyperchild, sep_estimate
+from stochenum.sampling import ScriptedChoice
 from stochenum.tree import (
     EXAMPLE_IMPORTANCE_LABELS,
     ExplicitTree,
@@ -14,8 +16,6 @@ from stochenum.tree import (
     exact_forest_cost,
     fixture_example_importance,
     fixture_example_tree,
-    hyperchildren,
-    hypernode_cost,
     hypernode_successors,
     subtree_cost_function,
 )
@@ -32,6 +32,16 @@ def bfs_level_cost(t):
     return total
 
 
+def all_nodes(t):
+    out = []
+    stack = list(t.root_hypernode)
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(t.successors(node))
+    return out
+
+
 def test_hypernode_canonical_order_and_equality():
     assert Hypernode(("c", "a", "b")).nodes == ("a", "b", "c")
     assert Hypernode(("a", "b")) == Hypernode(("b", "a"))
@@ -46,20 +56,23 @@ def test_hypernode_rejects_duplicates():
 
 def test_fixture_tree_shape():
     t = fixture_example_tree()
-    assert len(t.all_nodes()) == 14
+    assert sorted(all_nodes(t)) == sorted(EXAMPLE_IMPORTANCE_LABELS)
     assert t.successors("a") == ("b", "c")
     assert t.successors("h") == ()
-    assert t.depth("a") == 0
-    assert t.depth("m") == 4
     assert exact_forest_cost(t) == 14.0
 
 
 def test_hypernode_cost_examples():
+    # The walk charges each level the mean member cost of its hypernode.
     t = fixture_example_tree()
-    assert hypernode_cost(Hypernode(("a",)), t) == 1.0
-    assert hypernode_cost(Hypernode(("b", "c")), t) == 2.0
+    script = ScriptedChoice([
+        ("subset", ("b", "c")), ("subset", ("d", "e")), ("subset", ("h", "i")), ("subset", ("m",)),
+    ])
+    traj = sep_estimate(t, 2, UniformHyperchild(), script)
+    assert traj.level_costs == (1.0,) * 5
     synth = ExplicitTree({"r": ("d", "e")}, roots=("r",), costs={"d": 2.5, "e": 0.0, "r": 1.0})
-    assert hypernode_cost(Hypernode(("d", "e")), synth) == 2.5
+    traj = sep_estimate(synth, 2, UniformHyperchild(), ScriptedChoice([("subset", ("d", "e"))]))
+    assert traj.level_costs == (1.0, 1.25)
 
 
 def test_hypernode_successors_examples():
@@ -77,12 +90,16 @@ def test_successors_deterministic():
     assert t.successors("e") == t.successors("e")
 
 
+def hyperchildren(h, t, budget):
+    """Every candidate next hypernode, as the exact analysis enumerates them."""
+    return [nodes for nodes, _ in UniformHyperchild().support(hypernode_successors(h, t), budget)]
+
+
 def test_hyperchildren_examples():
     t = fixture_example_tree()
-    hc = hyperchildren(Hypernode(("b", "c")), t, 2)
-    assert hc == [Hypernode(("d", "e")), Hypernode(("d", "f")), Hypernode(("e", "f"))]
-    assert hyperchildren(Hypernode(("a",)), t, 2) == [Hypernode(("b", "c"))]
-    assert hyperchildren(Hypernode(("k",)), t, 2) == []
+    assert hyperchildren(Hypernode(("b", "c")), t, 2) == [("d", "e"), ("d", "f"), ("e", "f")]
+    assert hyperchildren(Hypernode(("a",)), t, 2) == [("b", "c")]
+    assert hypernode_successors(Hypernode(("k",)), t) == ()
 
 
 def test_hyperchildren_sizes_and_counts():
@@ -91,16 +108,11 @@ def test_hyperchildren_sizes_and_counts():
         h = Hypernode(nodes)
         succ = hypernode_successors(h, t)
         for budget in (1, 2, 3):
-            hc = hyperchildren(h, t, budget)
+            support = list(UniformHyperchild().support(succ, budget))
             take = min(budget, len(succ))
-            assert len(hc) == math.comb(len(succ), take)
-            assert all(len(w) == take for w in hc)
-
-
-def test_hyperchildren_cap():
-    t = fixture_example_tree()
-    with pytest.raises(CapExceeded):
-        hyperchildren(Hypernode(("b", "c")), t, 2, max_hyperchildren=2)
+            assert len(support) == math.comb(len(succ), take)
+            assert all(len(w) == take for w, _ in support)
+            assert sum(p for _, p in support) == 1
 
 
 def test_exact_forest_cost_traversal_orders_agree():
@@ -134,6 +146,13 @@ def test_subtree_cost_function_matches_manual():
     assert sub("c") == 8.0
     assert sub("h") == 1.0
     assert sub("e") == 4.0
+    exact = subtree_cost_function(t, Fraction)
+    assert exact("a") == 14 and isinstance(exact("a"), Fraction)
+    # The oracle's own subtree_cost is memoized per node in the same domain.
+    calls = []
+    t.subtree_cost = lambda node: calls.append(node) or sub(node)
+    fast = subtree_cost_function(t, Fraction)
+    assert fast("c") == fast("c") == Fraction(8) and calls == ["c"]
 
 
 def test_fixture_importance_labels_are_leaf_counts():
@@ -146,7 +165,7 @@ def test_fixture_importance_labels_are_leaf_counts():
             return 1
         return sum(leaves_below(k) for k in kids)
 
-    for node in t.all_nodes():
+    for node in all_nodes(t):
         assert w(node) == leaves_below(node)
     assert EXAMPLE_IMPORTANCE_LABELS["a"] == 5
     assert EXAMPLE_IMPORTANCE_LABELS["h"] == 1
@@ -161,7 +180,7 @@ def test_cost_split_identity_on_fixture_and_random_trees():
     # random trees with mixed costs, including zero-cost nodes
     for i in range(10):
         rt = random_tree(i)
-        for node in rt.all_nodes():
+        for node in all_nodes(rt):
             lhs, rhs = cost_split_identity(rt, Hypernode((node,)), 2)
             assert lhs == rhs
             assert isinstance(lhs, Fraction)
