@@ -22,16 +22,13 @@ from .analysis import (
 from .errors import CapExceeded, EstimateOverflow
 from .estimators import (
     Draw,
-    ExplicitDistribution,
     HypernodeDistribution,
     ImportanceInduced,
     RunSummary,
     Trajectory,
     UniformHyperchild,
     ideal_cost_distribution,
-    knuth_estimate,
     run_many,
-    sei_estimate,
     sep_estimate,
     summarize,
 )

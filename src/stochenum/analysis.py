@@ -92,13 +92,19 @@ class Outcome:
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Every outcome of a walk, with exact moments of the estimate."""
+    """Every outcome of a walk, with exact moments of the estimate.
+
+    ``level_max`` holds, per depth, the largest single-step alpha factor
+    over every (hypernode, candidate) pair the walk can reach there; it
+    is empty without a weight function.
+    """
 
     outcomes: tuple[Outcome, ...]
     mean: object
     variance: object
     cv2: object | None
     total_probability: object
+    level_max: tuple
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -107,7 +113,6 @@ class OutcomeDistribution:
 def count_sequences(
     t: TreeOracle,
     budget: int,
-    root: Hypernode | None = None,
     max_sequences: int = DEFAULT_SEQUENCE_CAP,
 ) -> int:
     """Number of complete hypernode sequences a walk could produce.
@@ -115,8 +120,6 @@ def count_sequences(
     Cheap feasibility probe for the enumerators below; aborts with
     CapExceeded as soon as the count passes the cap.
     """
-    if root is None:
-        root = t.root_hypernode
     count = 0
 
     def rec(nodes):
@@ -130,7 +133,7 @@ def count_sequences(
         for sub in itertools.combinations(exp.succ, exp.take):
             rec(sub)
 
-    rec(root.nodes)
+    rec(t.root_hypernode.nodes)
     return count
 
 
@@ -138,7 +141,6 @@ def enumerate_distribution(
     t: TreeOracle,
     budget: int,
     dist: HypernodeDistribution,
-    root: Hypernode | None = None,
     max_sequences: int = DEFAULT_SEQUENCE_CAP,
     exact: bool = True,
     weight: WeightFunction | None = None,
@@ -152,18 +154,19 @@ def enumerate_distribution(
     too: the product over levels of (r(S)/r(w)) * (c(w)/c(S)), which
     compares the weight the chosen hypernode w got with its share of
     subtree cost.  The empty product is 1, and an exact subtree-cost
-    weight gives 1 at every step.
+    weight gives 1 at every step.  The per-depth maxima of the single-step
+    factors go to ``level_max``.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    if root is None:
-        root = t.root_hypernode
+    root = t.root_hypernode
     conv, wvalue, subcost = _domain(t, weight, exact)
     size0 = len(root)
     outcomes = []
+    level_max = []
     count = 0
 
-    def rec(nodes, prob, d_product, total, alpha_acc, seq):
+    def rec(nodes, depth, prob, d_product, total, alpha_acc, seq):
         nonlocal count
         exp = _expand(t, nodes, budget, wvalue, subcost)
         if exp is None:
@@ -182,11 +185,18 @@ def enumerate_distribution(
             lvl = sum(conv(t.cost(x)) for x in wnodes) / len(wnodes)
             alpha2 = alpha_acc
             if weight is not None:
-                r_sel = sum(exp.w_of[x] for x in wnodes)
-                c_sel = sum(exp.c_of[x] for x in wnodes)
-                alpha2 = alpha_acc * (exp.r_all / r_sel) * (c_sel / exp.c_all)
+                r_ratio = exp.r_all / sum(exp.w_of[x] for x in wnodes)
+                c_ratio = sum(exp.c_of[x] for x in wnodes) / exp.c_all
+                # not alpha_acc * factor: float mode would round differently
+                alpha2 = alpha_acc * r_ratio * c_ratio
+                factor = r_ratio * c_ratio
+                if depth == len(level_max):
+                    level_max.append(factor)
+                elif factor > level_max[depth]:
+                    level_max[depth] = factor
             rec(
                 wnodes,
+                depth + 1,
                 prob * p,
                 d2,
                 total + lvl * d2,
@@ -196,7 +206,7 @@ def enumerate_distribution(
 
     one = conv(1)
     lvl0 = sum(conv(t.cost(v)) for v in root.nodes) / size0
-    rec(root.nodes, one, one, lvl0, one, (root,) if keep_sequences else None)
+    rec(root.nodes, 0, one, one, lvl0, one, (root,) if keep_sequences else None)
 
     if exact:
         total_p = sum(o.probability for o in outcomes)
@@ -207,7 +217,7 @@ def enumerate_distribution(
         mean = math.fsum(o.probability * o.estimate for o in outcomes)
         variance = math.fsum(o.probability * (o.estimate - mean) ** 2 for o in outcomes)
     cv2 = variance / (mean * mean) if mean != 0 else None
-    return OutcomeDistribution(tuple(outcomes), mean, variance, cv2, total_p)
+    return OutcomeDistribution(tuple(outcomes), mean, variance, cv2, total_p, tuple(level_max))
 
 
 @dataclass(frozen=True)
@@ -225,9 +235,7 @@ def alpha_stats(
     t: TreeOracle,
     budget: int,
     weight: WeightFunction,
-    root: Hypernode | None = None,
     max_sequences: int = DEFAULT_SEQUENCE_CAP,
-    max_states: int = DEFAULT_STATE_CAP,
     exact: bool = True,
 ) -> AlphaStats:
     """Full enumeration of alpha over the weighted walk.
@@ -237,11 +245,8 @@ def alpha_stats(
     built from per-level maxima of single-step factors over every
     reachable hypernode.
     """
-    if root is None:
-        root = t.root_hypernode
     od = enumerate_distribution(
-        t, budget, ImportanceInduced(weight),
-        root=root, max_sequences=max_sequences, exact=exact, weight=weight,
+        t, budget, ImportanceInduced(weight), max_sequences=max_sequences, exact=exact, weight=weight,
     )
     if exact:
         mean = sum(o.probability * o.alpha for o in od.outcomes)
@@ -250,43 +255,18 @@ def alpha_stats(
         mean = math.fsum(o.probability * o.alpha for o in od.outcomes)
         var = math.fsum(o.probability * (o.alpha - mean) ** 2 for o in od.outcomes)
     max_alpha = max(o.alpha for o in od.outcomes)
-
-    conv, wvalue, subcost = _domain(t, weight, exact)
-    product = conv(1)
-    level = {root.nodes}
-    visited = 1
-    while level:
-        nxt = set()
-        level_max = None
-        for nodes in level:
-            exp = _expand(t, nodes, budget, wvalue, subcost)
-            if exp is None:
-                continue
-            w_of, c_of = exp.w_of, exp.c_of
-            for sub in itertools.combinations(exp.succ, exp.take):
-                factor = (exp.r_all / sum(w_of[x] for x in sub)) * (sum(c_of[x] for x in sub) / exp.c_all)
-                if level_max is None or factor > level_max:
-                    level_max = factor
-                key = tuple(sorted(sub))
-                if key not in nxt:
-                    nxt.add(key)
-                    visited += 1
-                    if visited > max_states:
-                        raise CapExceeded(f"more than {max_states} reachable hypernodes")
-        if level_max is not None:
-            product *= level_max
-        level = nxt
+    product = Fraction(1) if exact else 1.0
+    for factor in od.level_max:
+        product *= factor
     return AlphaStats(mean, var, max_alpha, product, len(od.outcomes))
 
 
-def _hypernode_recursion(t, budget, root, max_states, wvalue, subcost, step):
-    """Memoized recursion over the hypernodes reachable from ``root``.
+def _hypernode_recursion(t, budget, max_states, wvalue, subcost, step):
+    """Memoized recursion over the hypernodes reachable from the root.
 
     ``step(nodes, exp, value_of)`` gives a hypernode's value from its
     expansion (None when terminal) and the values of its hyperchildren.
     """
-    if root is None:
-        root = t.root_hypernode
     memo: dict = {}
     visited = 0
 
@@ -301,14 +281,13 @@ def _hypernode_recursion(t, budget, root, max_states, wvalue, subcost, step):
         memo[nodes] = step(nodes, _expand(t, nodes, budget, wvalue, subcost), value_of)
         return memo[nodes]
 
-    return value_of(root.nodes)
+    return value_of(t.root_hypernode.nodes)
 
 
 def recursive_variance(
     t: TreeOracle,
     budget: int,
     weight: WeightFunction,
-    root: Hypernode | None = None,
     max_states: int = DEFAULT_STATE_CAP,
     exact: bool = True,
 ):
@@ -335,14 +314,13 @@ def recursive_variance(
             acc += (exp.r_all / r_sel) * (var_of(tuple(sorted(sub))) + c_sel * c_sel) / exp.binom
         return acc - exp.c_all * exp.c_all
 
-    return _hypernode_recursion(t, budget, root, max_states, wvalue, subcost, step)
+    return _hypernode_recursion(t, budget, max_states, wvalue, subcost, step)
 
 
 def recursive_cv2(
     t: TreeOracle,
     budget: int,
     weight: WeightFunction,
-    root: Hypernode | None = None,
     max_states: int = DEFAULT_STATE_CAP,
     exact: bool = True,
 ):
@@ -369,7 +347,7 @@ def recursive_cv2(
         ratio_s = exp.c_all / cost_v
         return acc - ratio_s * ratio_s
 
-    return _hypernode_recursion(t, budget, root, max_states, wvalue, subcost, step)
+    return _hypernode_recursion(t, budget, max_states, wvalue, subcost, step)
 
 
 def cost_split_identity(t: TreeOracle, h: Hypernode, budget: int):

@@ -238,7 +238,7 @@ def _parse_values(text: str) -> tuple[int, ...]:
 
 
 def cmd_sweep(args) -> int:
-    if args.values:
+    if args.values is not None:
         swept = _parse_values(args.values)
     elif args.kind == "n":
         swept = (10, 15, 20)

@@ -1,9 +1,10 @@
 """Tree-cost estimators: single path, budgeted multi-path, and importance-weighted.
 
-All three share one walk.  Starting from the root hypernode, each level
-draws the next hypernode among the candidates, multiplies a per-level
-correction factor D_k into a running product D (an estimate of the node
-count of the current level), and accumulates average-node-cost times D.
+All three are one walk, ``sep_estimate``.  Starting from the root
+hypernode, each level draws the next hypernode among the candidates,
+multiplies a per-level correction factor D_k into a running product D
+(an estimate of the node count of the current level), and accumulates
+average-node-cost times D.
 The walk returns |root| times the accumulated total, an unbiased
 estimator of the forest cost for any valid candidate distribution.
 
@@ -44,23 +45,18 @@ class Draw(NamedTuple):
     """
 
     nodes: tuple
-    probability: float
     d_multiplier: float
 
 
 class HypernodeDistribution:
     """How the next hypernode is chosen among the candidates.
 
-    ``draw`` samples; ``probability`` reports the exact selection
-    probability of one candidate as a rational; ``support(succ, budget)``
-    enumerates every candidate with its probability (exponential, for
-    the exact analysis).
+    ``draw`` samples; ``support(succ, budget)`` enumerates every
+    candidate with its exact probability (exponential, for the exact
+    analysis).
     """
 
     def draw(self, succ: tuple, budget: int, choice: ChoiceSource) -> Draw:
-        raise NotImplementedError
-
-    def probability(self, succ: tuple, nodes: Sequence, budget: int) -> Fraction:
         raise NotImplementedError
 
 
@@ -71,12 +67,7 @@ class UniformHyperchild(HypernodeDistribution):
         n = len(succ)
         m = min(budget, n)
         picked = choice.pick_subset(n, m, labels=succ)
-        nodes = tuple(succ[i] for i in picked)
-        return Draw(nodes, 1.0 / comb(n, m), n / m)
-
-    def probability(self, succ, nodes, budget):
-        n = len(succ)
-        return Fraction(1, comb(n, min(budget, n)))
+        return Draw(tuple(succ[i] for i in picked), n / m)
 
     def support(self, succ, budget):
         take = min(budget, len(succ))
@@ -98,16 +89,6 @@ class ImportanceInduced(HypernodeDistribution):
     def __init__(self, weight: WeightFunction):
         self.weight = weight
 
-    def _weights(self, succ) -> list[float]:
-        weight = self.weight
-        out = []
-        for x in succ:
-            w = float(weight(x))
-            if not w > 0:
-                raise NonpositiveWeight(x, w)
-            out.append(w)
-        return out
-
     def draw(self, succ, budget, choice):
         weight = self.weight
         weights = [weight(x) for x in succ]
@@ -116,72 +97,25 @@ class ImportanceInduced(HypernodeDistribution):
             if not w > 0:
                 raise NonpositiveWeight(succ[i], w)
             r_all += w
-        m = min(budget, len(succ))
-        sel = _draw_two_phase(succ, weights, m, choice)
+        sel = _draw_two_phase(succ, weights, min(budget, len(succ)), choice)
         r_sel = 0
         for i in sel:
             r_sel += weights[i]
-        nodes = tuple(succ[i] for i in sel)
-        prob = (r_sel / r_all) / comb(len(succ) - 1, m - 1)
-        return Draw(nodes, prob, r_all / r_sel)
-
-    def probability(self, succ, nodes, budget):
-        weights = {x: Fraction(w) for x, w in zip(succ, self._weights(succ))}
-        m = min(budget, len(succ))
-        r_all = sum(weights.values())
-        r_sel = sum(weights[x] for x in nodes)
-        return r_sel / r_all / comb(len(succ) - 1, m - 1)
+        return Draw(tuple(succ[i] for i in sel), r_all / r_sel)
 
     def support(self, succ, budget):
-        weights = [Fraction(w) for w in self._weights(succ)]
+        weight = self.weight
+        weights = []
+        for x in succ:
+            w = float(weight(x))
+            if not w > 0:
+                raise NonpositiveWeight(x, w)
+            weights.append(Fraction(w))
         take = min(budget, len(succ))
         denom = sum(weights) * comb(len(succ) - 1, take - 1)
         for idxs in itertools.combinations(range(len(succ)), take):
             nodes = tuple(sorted(succ[i] for i in idxs))
             yield nodes, sum(weights[i] for i in idxs) / denom
-
-
-class ExplicitDistribution(HypernodeDistribution):
-    """Distribution given as a table, for tests and worked examples.
-
-    ``table`` maps a successor tuple (exactly as produced by the walk) to
-    a sequence of (nodes, probability) pairs covering all candidates.
-    """
-
-    def __init__(self, table: dict):
-        self._table = {
-            tuple(succ): [(tuple(sorted(nodes)), Fraction(p)) for nodes, p in options]
-            for succ, options in table.items()
-        }
-        for succ, options in self._table.items():
-            for nodes, p in options:
-                if not p > 0:
-                    raise ValueError(f"candidate {nodes!r} under {succ!r} has probability {p}")
-
-    def _options(self, succ):
-        try:
-            return self._table[tuple(succ)]
-        except KeyError:
-            raise KeyError(f"no distribution entry for successor set {succ!r}") from None
-
-    def draw(self, succ, budget, choice):
-        options = self._options(succ)
-        idx = choice.pick_weighted(
-            [float(p) for _, p in options], labels=[nodes for nodes, _ in options]
-        )
-        nodes, p = options[idx]
-        dmul = float(1 / (comb(len(succ) - 1, len(nodes) - 1) * p))
-        return Draw(nodes, float(p), dmul)
-
-    def probability(self, succ, nodes, budget):
-        key = tuple(sorted(nodes))
-        for cand, p in self._options(succ):
-            if cand == key:
-                return p
-        raise KeyError(f"no probability for candidate {key!r}")
-
-    def support(self, succ, budget):
-        yield from self._options(succ)
 
 
 def ideal_cost_distribution(t: TreeOracle) -> ImportanceInduced:
@@ -206,12 +140,10 @@ class Trajectory:
     d_factors: tuple | None = None
     d_products: tuple | None = None
     level_costs: tuple | None = None
-    probabilities: tuple | None = None
 
 
 def _walk(
     t: TreeOracle,
-    root: Hypernode,
     budget: int,
     dist: HypernodeDistribution,
     choice: ChoiceSource,
@@ -221,6 +153,7 @@ def _walk(
         raise ValueError(f"budget must be >= 1, got {budget}")
     cost = t.cost
     successors = t.successors
+    root = t.root_hypernode
     nodes = root.nodes
     size0 = len(nodes)
     csum = 0.0
@@ -233,7 +166,6 @@ def _walk(
     d_factors = [] if record else None
     d_products = [] if record else None
     level_costs = [csum / size0] if record else None
-    probabilities = [] if record else None
     level = 0
     while True:
         # Plain concatenation: node references are path-exact, so members
@@ -244,8 +176,8 @@ def _walk(
         if not succ:
             break
         draw = dist.draw(succ, budget, choice)
-        if not draw.probability > 0:
-            raise ValueError(f"distribution returned probability {draw.probability!r}")
+        if not draw.d_multiplier > 0:
+            raise ValueError(f"distribution returned level factor {draw.d_multiplier!r}")
         wnodes = draw.nodes
         m = len(wnodes)
         d_k = (m / len(nodes)) * draw.d_multiplier
@@ -263,7 +195,6 @@ def _walk(
             d_factors.append(d_k)
             d_products.append(d_product)
             level_costs.append(csum / m)
-            probabilities.append(draw.probability)
         nodes = wnodes
     return Trajectory(
         root_size=size0,
@@ -274,7 +205,6 @@ def _walk(
         d_factors=tuple(d_factors) if record else None,
         d_products=tuple(d_products) if record else None,
         level_costs=tuple(level_costs) if record else None,
-        probabilities=tuple(probabilities) if record else None,
     )
 
 
@@ -283,50 +213,15 @@ def sep_estimate(
     budget: int,
     dist: HypernodeDistribution,
     choice: ChoiceSource,
-    root: Hypernode | None = None,
     record: bool = True,
 ) -> Trajectory:
-    """Budgeted estimator under an arbitrary hypernode distribution."""
-    if root is None:
-        root = t.root_hypernode
-    return _walk(t, root, budget, dist, choice, record)
+    """One estimator run from the root under a hypernode distribution.
 
-
-def sei_estimate(
-    t: TreeOracle,
-    budget: int,
-    weight: WeightFunction,
-    choice: ChoiceSource,
-    root: Hypernode | None = None,
-    record: bool = True,
-) -> Trajectory:
-    """Budgeted estimator with the distribution induced by a weight function.
-
-    Identical to ``sep_estimate`` with ``ImportanceInduced(weight)``; the
-    level factor simplifies to (|w|/|x|) * r(S)/r(w).
+    Budget 1 is the classic single-path estimator; ``ImportanceInduced``
+    gives the importance-weighted variant, whose level factor simplifies
+    to (|w|/|x|) * r(S)/r(w).
     """
-    return sep_estimate(t, budget, ImportanceInduced(weight), choice, root, record)
-
-
-def knuth_estimate(
-    t: TreeOracle,
-    choice: ChoiceSource,
-    root: Hypernode | None = None,
-    dist: HypernodeDistribution | None = None,
-    record: bool = True,
-) -> Trajectory:
-    """Single-path estimator: walk root to leaf, multiply child counts.
-
-    Equals the budgeted walk with budget 1.  The root must be a single
-    node.
-    """
-    if root is None:
-        root = t.root_hypernode
-    if len(root) != 1:
-        raise ValueError(f"single-path estimation needs a singleton root, got {len(root)} nodes")
-    if dist is None:
-        dist = UniformHyperchild()
-    return _walk(t, root, 1, dist, choice, record)
+    return _walk(t, budget, dist, choice, record)
 
 
 @dataclass(frozen=True)
@@ -371,12 +266,12 @@ def summarize(estimates: Sequence[float]) -> RunSummary:
     return RunSummary(runs=n, mean=mean, variance=var, stderr=math.sqrt(var / n))
 
 
-def _run_block(t, root, budget, dist, seed, start, stop) -> list[float]:
+def _run_block(t, budget, dist, seed, start, stop) -> list[float]:
     """Estimates for run indices [start, stop), each on its derived stream.
 
-    Decision trees walked from their root under the uniform draw or a
-    weight with ``child_values`` take the tree's mask-only walk; everything
-    else takes the generic walk.  ``EstimateOverflow`` passes through
+    Decision trees under the uniform draw or a weight with
+    ``child_values`` take the tree's mask-only walk; everything else takes
+    the generic walk.  ``EstimateOverflow`` passes through
     unwrapped so callers can report it as such.
     """
     fast = getattr(t, "fast_run_block", None)
@@ -385,7 +280,7 @@ def _run_block(t, root, budget, dist, seed, start, stop) -> list[float]:
         weight = dist.weight
     elif type(dist) is not UniformHyperchild:
         fast = None
-    if fast is not None and root == t.root_hypernode:
+    if fast is not None:
         try:
             return fast(budget, weight, seed, start, stop)
         except EstimateOverflow:
@@ -396,7 +291,7 @@ def _run_block(t, root, budget, dist, seed, start, stop) -> list[float]:
     for i in range(start, stop):
         choice = RandomChoice(RandomSource(derive_seed(seed, i)))
         try:
-            out.append(_walk(t, root, budget, dist, choice, record=False).estimate)
+            out.append(_walk(t, budget, dist, choice, record=False).estimate)
         except EstimateOverflow:
             raise
         except Exception as exc:
@@ -410,7 +305,6 @@ def run_many(
     dist: HypernodeDistribution,
     runs: int,
     seed: int,
-    root: Hypernode | None = None,
     threads: int = 1,
 ) -> RunSummary:
     """R independent runs on substreams derived from (seed, run index).
@@ -422,16 +316,14 @@ def run_many(
         raise ValueError(f"need at least one run, got {runs}")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    if root is None:
-        root = t.root_hypernode
     if threads <= 1 or runs < 4:
-        estimates = _run_block(t, root, budget, dist, seed, 0, runs)
+        estimates = _run_block(t, budget, dist, seed, 0, runs)
     else:
         chunk = max(64, (runs + threads * 4 - 1) // (threads * 4))
         bounds = [(s, min(s + chunk, runs)) for s in range(0, runs, chunk)]
         with ProcessPoolExecutor(max_workers=threads) as pool:
             blocks = list(
-                pool.map(_run_block_star, [(t, root, budget, dist, seed, a, b) for a, b in bounds])
+                pool.map(_run_block_star, [(t, budget, dist, seed, a, b) for a, b in bounds])
             )
         estimates = [x for block in blocks for x in block]
     return summarize(estimates)

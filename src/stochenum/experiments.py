@@ -157,7 +157,6 @@ def _poset_task(args) -> tuple[int, int, dict]:
     n, budget = cfg.point(cfg.swept[point_idx])
     poset = random_poset(n, cfg.edge_probability, derive_seed(cfg.seed, "poset", point_idx, poset_idx))
     tree = LEDecisionTree(poset)
-    root = tree.root_hypernode
     estimates_n = cfg.estimates_at(n)
     exact = None
     if cfg.exact_reference or cfg.verify_small:
@@ -168,7 +167,7 @@ def _poset_task(args) -> tuple[int, int, dict]:
         weight = importance_function(tree, imp)
         dist = ImportanceInduced(weight)
         run_seed = derive_seed(cfg.seed, "run", point_idx, poset_idx, imp_idx)
-        estimates = _run_block(tree, root, budget, dist, run_seed, 0, estimates_n)
+        estimates = _run_block(tree, budget, dist, run_seed, 0, estimates_n)
         summary = summarize(estimates)
         ratio = summary.mean / exact if cfg.verify_small and exact is not None else None
         denom = exact if (cfg.exact_reference and exact is not None) else summary.mean

@@ -90,22 +90,16 @@ def hypernode_successors(h: Hypernode | Sequence, t: TreeOracle) -> tuple:
     return tuple(out)
 
 
-def exact_forest_cost(
-    t: TreeOracle,
-    root: Hypernode | None = None,
-    max_nodes: int = DEFAULT_NODE_CAP,
-) -> float:
-    """Sum of node costs over the whole forest below ``root``.
+def exact_forest_cost(t: TreeOracle, max_nodes: int = DEFAULT_NODE_CAP) -> float:
+    """Sum of node costs over the whole forest.
 
     Deterministic depth-first traversal with an explicit stack, so deep
     decision trees cannot blow the interpreter recursion limit.  Raises
     CapExceeded after ``max_nodes`` visits.
     """
-    if root is None:
-        root = t.root_hypernode
     total = 0.0
     seen = 0
-    stack = list(reversed(root.nodes))
+    stack = list(reversed(t.root_hypernode.nodes))
     while stack:
         node = stack.pop()
         seen += 1
@@ -123,21 +117,27 @@ def subtree_cost_function(t: TreeOracle, conv: Callable = float) -> Callable:
     or ``Fraction`` for exact analysis).  Uses the oracle's own
     ``subtree_cost`` when it provides one (decision trees back it by
     dynamic programming); otherwise computes costs by an iterative
-    post-order pass.
+    post-order pass.  The result pickles, so it can serve as a weight in
+    worker processes.
     """
-    fast = t.subtree_cost
-    memo: dict = {}
-    if fast is not None:
-        def cost_of(node):
-            v = memo.get(node)
-            if v is None:
-                v = memo[node] = conv(fast(node))
-            return v
-        return cost_of
+    return _SubtreeCost(t, conv)
 
-    def cost_of(node):
-        if node in memo:
-            return memo[node]
+
+class _SubtreeCost:
+    def __init__(self, t: TreeOracle, conv: Callable):
+        self._t = t
+        self._conv = conv
+        self._memo: dict = {}
+
+    def __call__(self, node):
+        memo = self._memo
+        v = memo.get(node)
+        if v is not None:
+            return v
+        t, conv = self._t, self._conv
+        if t.subtree_cost is not None:
+            v = memo[node] = conv(t.subtree_cost(node))
+            return v
         stack = [(node, False)]
         while stack:
             cur, expanded = stack.pop()
@@ -151,23 +151,22 @@ def subtree_cost_function(t: TreeOracle, conv: Callable = float) -> Callable:
                 stack.extend((c, False) for c in children if c not in memo)
         return memo[node]
 
-    return cost_of
-
 
 class ExplicitTree(TreeOracle):
-    """Forest held fully in memory as a child map, for fixtures and tests."""
+    """Forest held fully in memory as a child map, for fixtures and tests.
+
+    Nodes missing from ``costs`` cost 1.
+    """
 
     def __init__(
         self,
         children: dict,
         roots: Sequence,
         costs: dict | None = None,
-        default_cost: float = 1.0,
     ):
         self._children = {k: tuple(v) for k, v in children.items()}
         self._roots = tuple(roots)
         self._costs = dict(costs) if costs else {}
-        self._default_cost = float(default_cost)
         seen = set()
         frontier = list(self._roots)
         while frontier:
@@ -185,7 +184,7 @@ class ExplicitTree(TreeOracle):
         return self._children.get(node, ())
 
     def cost(self, node) -> float:
-        return self._costs.get(node, self._default_cost)
+        return self._costs.get(node, 1.0)
 
 
 # 14-node worked-example tree used throughout the tests: unit costs, five
@@ -216,10 +215,6 @@ def fixture_example_tree() -> ExplicitTree:
 
 
 def fixture_example_importance() -> Callable:
-    """Leaf-count importance on the example tree, as a weight function."""
-    labels = dict(EXAMPLE_IMPORTANCE_LABELS)
-
-    def weight(node):
-        return labels[node]
-
-    return weight
+    """Leaf-count importance on the example tree, as a (picklable) weight
+    function."""
+    return dict(EXAMPLE_IMPORTANCE_LABELS).__getitem__

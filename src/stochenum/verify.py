@@ -28,8 +28,6 @@ from .estimators import (
     ImportanceInduced,
     UniformHyperchild,
     ideal_cost_distribution,
-    knuth_estimate,
-    sei_estimate,
     sep_estimate,
 )
 from .posets import LEDecisionTree, Poset, count_linear_extensions, fixture_poset, importance_function, random_poset
@@ -154,7 +152,7 @@ def check_fixture_golden() -> CheckResult:
         ("weighted", "i"), ("subset", ("h",)),
         ("weighted", "m"),
     ])
-    traj = sei_estimate(t, 2, fixture_example_importance(), script)
+    traj = sep_estimate(t, 2, ImportanceInduced(fixture_example_importance()), script)
     if traj.estimate != 13.0 or traj.d_products != (2.0, 2.5, 5.0, 2.5) or not script.exhausted():
         res.fail(f"weighted budget-2 replay gave {traj.estimate}, D {traj.d_products}")
     res.instances += 1
@@ -162,7 +160,7 @@ def check_fixture_golden() -> CheckResult:
     script = ScriptedChoice([
         ("subset", ("c",)), ("subset", ("f",)), ("subset", ("j",)), ("subset", ("n",)),
     ])
-    traj = knuth_estimate(t, script)
+    traj = sep_estimate(t, 1, UniformHyperchild(), script)
     if traj.estimate != 15.0 or traj.d_factors != (2.0, 2.0, 1.0, 1.0):
         res.fail(f"single-path replay gave {traj.estimate}, D factors {traj.d_factors}")
     res.instances += 1
@@ -325,7 +323,6 @@ def run_checks(
     posets: int = 12,
     seed: int = DEFAULT_SEED,
     max_sequences: int = 20_000,
-    zero_variance_runs: int = 50,
     bounds_sink: list | None = None,
 ) -> list[CheckResult]:
     """Run the whole suite; returns one result per check."""
@@ -370,6 +367,6 @@ def run_checks(
         check_unbiasedness(unbiased_instances, budgets, max_sequences),
         check_variance_forms(weighted_instances, budgets, max_sequences),
         check_alpha_suite(weighted_instances, budgets, max_sequences, bounds_sink),
-        check_zero_variance(zero_var_instances, budgets, zero_variance_runs, seed),
+        check_zero_variance(zero_var_instances, budgets, runs=50, seed=seed),
     ]
     return results

@@ -1,8 +1,11 @@
 """Exact oracles: outcome enumeration, variance recursions, alpha diagnostics."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochenum.analysis import (
     alpha_stats,
@@ -19,8 +22,10 @@ from stochenum.sampling import NonpositiveWeight
 from stochenum.tree import (
     ExplicitTree,
     Hypernode,
+    exact_forest_cost,
     fixture_example_importance,
     fixture_example_tree,
+    hypernode_successors,
     subtree_cost_function,
 )
 from stochenum.verify import random_tree
@@ -179,6 +184,81 @@ def test_alpha_bound_chain_fixture():
         assert cv2 <= st.max_value - 1
         assert cv2 <= st.level_max_product - 1
         assert st.variance + st.mean ** 2 <= st.max_value * st.mean
+
+
+def reference_level_max_product(t, budget, weight, exact=True):
+    """The per-level alpha bound by a breadth-first pass over every
+    reachable hypernode: each depth's largest single-step factor
+    (r(S)/r(w)) * (c(w)/c(S)), multiplied over the depths."""
+    conv = Fraction if exact else float
+    wvalue = lambda x: conv(float(weight(x)))
+    subcost = subtree_cost_function(t, conv)
+    product = conv(1)
+    level = {t.root_hypernode.nodes}
+    while level:
+        nxt = set()
+        level_max = None
+        for nodes in level:
+            succ = hypernode_successors(nodes, t)
+            if not succ:
+                continue
+            r_all = sum(wvalue(x) for x in succ)
+            c_all = sum(subcost(x) for x in succ)
+            for sub in itertools.combinations(succ, min(budget, len(succ))):
+                factor = (r_all / sum(wvalue(x) for x in sub)) * (sum(subcost(x) for x in sub) / c_all)
+                if level_max is None or factor > level_max:
+                    level_max = factor
+                nxt.add(tuple(sorted(sub)))
+        if level_max is not None:
+            product *= level_max
+        level = nxt
+    return product
+
+
+def test_level_max_product_matches_breadth_first_reference():
+    cells = [(fixture_example_tree(), w) for w in (UNIFORM, fixture_example_importance())]
+    for seed in range(12):
+        t = random_tree(seed, max_depth=3, max_children=3)
+        cells += [(t, UNIFORM), (t, lambda node: 1.0 + node % 3)]
+    checked = 0
+    for t, w in cells:
+        for budget in (1, 2, 3):
+            for exact in (True, False):
+                try:
+                    stats = alpha_stats(t, budget, w, exact=exact)
+                except ValueError:  # a zero-cost successor forest leaves alpha undefined
+                    continue
+                assert stats.level_max_product == reference_level_max_product(t, budget, w, exact)
+                checked += 1
+    assert checked >= 60
+
+
+@st.composite
+def weighted_forests(draw):
+    """A random forest of up to 9 nodes with mixed costs and positive weights."""
+    n = draw(st.integers(1, 9))
+    children: dict = {}
+    roots = [0]
+    for i in range(1, n):
+        parent = draw(st.integers(-1, i - 1))  # -1: one more root
+        if parent < 0:
+            roots.append(i)
+        else:
+            children.setdefault(parent, []).append(i)
+    costs = draw(st.lists(st.sampled_from((0.0, 0.25, 0.5, 1.0, 2.0)), min_size=n, max_size=n))
+    weights = draw(st.lists(st.sampled_from((0.1, 0.5, 1.0, 3.0, 7.0)), min_size=n, max_size=n))
+    return ExplicitTree(children, roots, dict(enumerate(costs))), weights.__getitem__
+
+
+@settings(max_examples=150, deadline=None)
+@given(forest=weighted_forests(), budget=st.integers(1, 3))
+def test_enumeration_is_unbiased_on_random_forests(forest, budget):
+    t, weight = forest
+    cost = exact_forest_cost(t)  # dyadic costs: the float sum is exact
+    for dist in (UniformHyperchild(), ImportanceInduced(weight)):
+        od = enumerate_distribution(t, budget, dist)
+        assert od.total_probability == 1
+        assert od.mean == cost
 
 
 def test_unbiasedness_on_random_explicit_trees():

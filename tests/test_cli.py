@@ -5,11 +5,11 @@ import io
 import json
 
 import pytest
+from explicit_distribution import ExplicitDistribution
 
 from stochenum import experiments
 from stochenum.cli import main
 from stochenum.errors import CapExceeded
-from stochenum.estimators import ExplicitDistribution
 from stochenum.posets import random_poset, save_poset
 from stochenum.verify import check_unbiasedness, enumerable_posets
 from stochenum.tree import fixture_example_tree
@@ -156,6 +156,26 @@ def test_estimate_poset_importance_on_plain_tree_rejected(capsys):
     )
     assert code == 2
     assert "poset" in err
+
+
+@pytest.mark.parametrize("fixture", ["example", "example-importance", "poset-fig3"])
+@pytest.mark.parametrize("importance", ["uniform", "1", "2", "3", "f1", "f2", "f3", "ideal"])
+def test_fixture_estimates_at_two_workers(capsys, fixture, importance):
+    # The weight crosses the process pool by pickling.  Supported pairs
+    # print the 1-worker bytes; the plain tree's poset weights stay usage errors.
+    args = ("--seed", "4", "estimate", "--fixture", fixture, "--budget", "2",
+            "--importance", importance, "--runs", "200")
+    one = run_cli(capsys, "--threads", "1", *args)
+    two = run_cli(capsys, "--threads", "2", *args)
+    supported = fixture != "example" or importance in ("uniform", "ideal")
+    assert one[0] == two[0] == (0 if supported else 2)
+    assert one[1:] == two[1:]
+
+
+def test_sweep_empty_values_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--kind", "n", "--values", "")
+    assert code == 2 and out == ""
+    assert "swept value list is empty" in err
 
 
 def test_sweep_csv_and_rerun_identical(tmp_path, capsys):
@@ -326,13 +346,9 @@ def test_corrupted_distribution_fails_unbiasedness():
     # for the enumeration oracle the reported probabilities ARE the model, so
     # corrupt the reported ones against the level-factor formula instead
     class Lying(ExplicitDistribution):
-        def probability(self, succ, nodes, budget):
-            p = super().probability(succ, nodes, budget)
-            return p * 2 if tuple(sorted(nodes)) == ("d", "e") else p
-
         def support(self, succ, budget):
             for nodes, p in super().support(succ, budget):
-                yield nodes, self.probability(succ, nodes, budget)
+                yield nodes, p * 2 if nodes == ("d", "e") else p
 
     res = check_unbiasedness([("fixture", t, [("lying", Lying(table))])], (2,), 200_000)
     assert not res.passed

@@ -4,25 +4,29 @@ import math
 import pickle
 
 import pytest
+from explicit_distribution import ExplicitDistribution
 
 from stochenum.analysis import enumerate_distribution
 from stochenum.errors import EstimateOverflow
 from stochenum.estimators import (
-    ExplicitDistribution,
     ImportanceInduced,
     UniformHyperchild,
     _run_block,
     _walk,
     ideal_cost_distribution,
-    knuth_estimate,
     run_many,
-    sei_estimate,
     sep_estimate,
     summarize,
 )
 from stochenum.posets import LEDecisionTree, Poset, importance_function, random_poset
 from stochenum.sampling import RandomChoice, RandomSource, ScriptedChoice, derive_seed
-from stochenum.tree import ExplicitTree, Hypernode, fixture_example_importance, fixture_example_tree
+from stochenum.tree import (
+    ExplicitTree,
+    Hypernode,
+    fixture_example_importance,
+    fixture_example_tree,
+    hypernode_successors,
+)
 
 
 def chain_tree(height):
@@ -55,11 +59,9 @@ def test_weighted_budget2_scripted_replay():
         ("weighted", "i"), ("subset", ("h",)),
         ("weighted", "m"),
     ])
-    traj = sei_estimate(t, 2, fixture_example_importance(), script)
+    traj = sep_estimate(t, 2, ImportanceInduced(fixture_example_importance()), script)
     assert traj.estimate == 13.0
     assert traj.d_products == (2.0, 2.5, 5.0, 2.5)
-    assert traj.probabilities[0] == 1.0
-    assert traj.probabilities[1] == pytest.approx(0.4)
     assert script.exhausted()
 
 
@@ -68,28 +70,22 @@ def test_single_path_scripted_replay():
     script = ScriptedChoice([
         ("subset", ("c",)), ("subset", ("f",)), ("subset", ("j",)), ("subset", ("n",)),
     ])
-    traj = knuth_estimate(t, script)
+    traj = sep_estimate(t, 1, UniformHyperchild(), script)
     assert traj.d_factors == (2.0, 2.0, 1.0, 1.0)
     assert traj.estimate == 15.0
-
-
-def test_single_path_requires_singleton_root():
-    t = fixture_example_tree()
-    with pytest.raises(ValueError):
-        knuth_estimate(t, RandomChoice(1), root=Hypernode(("b", "c")))
 
 
 def test_chain_tree_is_exact_for_any_seed():
     t = chain_tree(9)
     for seed in range(10):
-        traj = knuth_estimate(t, RandomChoice(seed))
+        traj = sep_estimate(t, 1, UniformHyperchild(), RandomChoice(seed))
         assert traj.estimate == 10.0
 
 
 def test_height_zero_is_exact():
     t = ExplicitTree({}, roots=("v",), costs={"v": 2.5})
     assert sep_estimate(t, 3, UniformHyperchild(), RandomChoice(0)).estimate == 2.5
-    assert knuth_estimate(t, RandomChoice(0)).estimate == 2.5
+    assert sep_estimate(t, 1, UniformHyperchild(), RandomChoice(0)).estimate == 2.5
 
 
 def test_budget_beyond_width_is_exact():
@@ -100,21 +96,32 @@ def test_budget_beyond_width_is_exact():
 
 
 def test_weighted_is_the_induced_distribution_walk():
+    # Under the induced draw the level factor is (|w|/|x|) * r(S)/r(w).
     t = fixture_example_tree()
     w = fixture_example_importance()
     for seed in range(10):
-        a = sei_estimate(t, 2, w, RandomChoice(RandomSource(seed)))
-        b = sep_estimate(t, 2, ImportanceInduced(w), RandomChoice(RandomSource(seed)))
-        assert a == b
+        traj = sep_estimate(t, 2, ImportanceInduced(w), RandomChoice(RandomSource(seed)))
+        for k, d_k in enumerate(traj.d_factors):
+            x, chosen = traj.hypernodes[k], traj.hypernodes[k + 1]
+            r_all = sum(w(v) for v in hypernode_successors(x, t))
+            assert d_k == pytest.approx(len(chosen) / len(x) * r_all / sum(w(v) for v in chosen), rel=1e-12)
 
 
 def test_budget_one_weighted_equals_single_path():
+    # At budget 1 the weighted walk is Knuth's single path: one node per
+    # level, and the estimate sums each level's cost times the running
+    # product of r(S)/w(chosen).
     t = fixture_example_tree()
     w = fixture_example_importance()
     for seed in range(10):
-        a = sei_estimate(t, 1, w, RandomChoice(RandomSource(seed)))
-        b = knuth_estimate(t, RandomChoice(RandomSource(seed)), dist=ImportanceInduced(w))
-        assert a == b
+        traj = sep_estimate(t, 1, ImportanceInduced(w), RandomChoice(RandomSource(seed)))
+        path = [h.nodes[0] for h in traj.hypernodes]
+        assert all(len(h) == 1 for h in traj.hypernodes)
+        total, product = 1.0, 1.0
+        for parent, child in zip(path, path[1:]):
+            product *= sum(w(v) for v in t.successors(parent)) / w(child)
+            total += product
+        assert traj.estimate == pytest.approx(total, rel=1e-12)
 
 
 def test_uniform_weight_matches_uniform_distribution_exactly():
@@ -166,12 +173,16 @@ def test_nonpositive_probabilities_rejected():
     from stochenum.estimators import Draw, HypernodeDistribution
 
     class Bad(HypernodeDistribution):
+        def __init__(self, d_multiplier):
+            self.d_multiplier = d_multiplier
+
         def draw(self, succ, budget, choice):
-            return Draw((succ[0],), 0.0, 1.0)
+            return Draw((succ[0],), self.d_multiplier)
 
     t = ExplicitTree({"a": ("b",)}, roots=("a",))
-    with pytest.raises(ValueError):
-        sep_estimate(t, 1, Bad(), RandomChoice(0))
+    for bad in (0.0, -2.0, math.nan):
+        with pytest.raises(ValueError, match="level factor"):
+            sep_estimate(t, 1, Bad(bad), RandomChoice(0))
 
 
 def test_estimate_overflow_reported():
@@ -294,7 +305,6 @@ def test_fast_block_matches_generic_walk_bitwise():
     for seed in (3, 5):
         p = random_poset(9, 0.2, seed)
         tree = LEDecisionTree(p)
-        root = tree.root_hypernode
         for kind in (None, "uniform", "f1", "f2", "f3", "ideal"):
             for budget in (1, 2, 4):
                 if kind is None:
@@ -304,7 +314,7 @@ def test_fast_block_matches_generic_walk_bitwise():
                     fast = tree.fast_run_block(budget, importance_function(tree, kind), 31, 0, 60)
                     dist = ImportanceInduced(importance_function(tree, kind))
                 gen = [
-                    _walk(tree, root, budget, dist,
+                    _walk(tree, budget, dist,
                           RandomChoice(RandomSource(derive_seed(31, i))), record=False).estimate
                     for i in range(60)
                 ]
@@ -317,9 +327,8 @@ def test_fast_block_guard_counters_match_generic():
     w_fast = importance_function(tree, "f3")
     tree.fast_run_block(3, w_fast, 17, 0, 80)
     w_gen = importance_function(tree, "f3")
-    root = tree.root_hypernode
     for i in range(80):
-        _walk(tree, root, 3, ImportanceInduced(w_gen),
+        _walk(tree, 3, ImportanceInduced(w_gen),
               RandomChoice(RandomSource(derive_seed(17, i))), record=False)
     assert (w_fast.evaluations, w_fast.guard_hits) == (w_gen.evaluations, w_gen.guard_hits)
 
@@ -336,23 +345,19 @@ def test_run_block_dispatches_to_fast_path():
 
     tree.fast_run_block = spy
     w = importance_function(tree, "f3")
-    via_block = _run_block(tree, tree.root_hypernode, 2, ImportanceInduced(w), 9, 0, 40)
+    via_block = _run_block(tree, 2, ImportanceInduced(w), 9, 0, 40)
     direct = real(2, importance_function(tree, "f3"), 9, 0, 40)
     assert via_block == direct and calls == [w]
-    via_block = _run_block(tree, tree.root_hypernode, 2, UniformHyperchild(), 9, 0, 40)
+    via_block = _run_block(tree, 2, UniformHyperchild(), 9, 0, 40)
     assert via_block == real(2, None, 9, 0, 40) and calls == [w, None]
-    # Any other root takes the generic walk.
-    child = Hypernode(tuple(tree.successors(tree.root_hypernode.nodes[0])[:1]))
-    _run_block(tree, child, 2, UniformHyperchild(), 9, 0, 5)
-    assert calls == [w, None]
 
 
 def test_overflow_passes_through_run_block_with_log_value():
     tree = LEDecisionTree(Poset(200, [0] * 200))  # 200! extensions
     with pytest.raises(EstimateOverflow) as fast:
-        _run_block(tree, tree.root_hypernode, 1, UniformHyperchild(), 4, 0, 3)
+        _run_block(tree, 1, UniformHyperchild(), 4, 0, 3)
     with pytest.raises(EstimateOverflow) as generic:
-        _walk(tree, tree.root_hypernode, 1, UniformHyperchild(),
+        _walk(tree, 1, UniformHyperchild(),
               RandomChoice(RandomSource(derive_seed(4, 0))), record=False)
     assert math.isfinite(fast.value.log_value)
     assert fast.value.log_value == pytest.approx(generic.value.log_value, rel=1e-12)

@@ -2,11 +2,13 @@
 
 import hashlib
 import math
+import os
 import random
+import tempfile
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stochenum.analysis import enumerate_distribution
@@ -309,11 +311,15 @@ def test_ideal_weight_is_subtree_count():
         assert w(child) == tree.completions(child[1])
 
 
-def test_poset_file_round_trip(tmp_path):
-    p = random_poset(9, 0.3, 12)
-    path = tmp_path / "x.poset"
-    save_poset(p, path)
-    assert load_poset(path) == p
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 40), p=st.sampled_from((0.0, 0.05, 0.2, 0.3, 0.5, 1.0)), seed=st.integers(0, 2**32 - 1))
+@example(n=9, p=0.3, seed=12)
+def test_poset_file_round_trip(n, p, seed):
+    poset = random_poset(n, p, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "x.poset")
+        save_poset(poset, path)
+        assert load_poset(path) == poset
 
 
 def test_poset_file_closure_and_comments(tmp_path):

@@ -126,13 +126,14 @@ def test_select_hypernode_probability_formula():
     succ = ("g", "h", "i")
     c = RandomChoice(11)
     seen = set()
+    support = dict(dist.support(succ, 2))
     for _ in range(200):
         draw = dist.draw(succ, 2, c)
-        p = dist.probability(succ, draw.nodes, 2)
+        nodes = tuple(sorted(draw.nodes))
+        p = support[nodes]
         r_w = sum(Fraction(weights[x]) for x in draw.nodes)
         assert p == r_w / Fraction(4) / 2
-        assert draw.probability == float(p)
-        nodes = tuple(sorted(draw.nodes))
+        assert draw.d_multiplier == float(1 / (2 * p))
         if nodes == ("h", "i"):
             assert p == Fraction(1, 4)
         seen.add(nodes)
@@ -143,10 +144,11 @@ def test_select_hypernode_singleton_and_uniform():
     c = RandomChoice(3)
     dist = ImportanceInduced(lambda x: 1.0)
     draw = dist.draw(("m",), 2, c)
-    assert draw.nodes == ("m",) and dist.probability(("m",), draw.nodes, 2) == 1
+    assert draw.nodes == ("m",) and dict(dist.support(("m",), 2))[draw.nodes] == 1
+    support = dict(dist.support(("d", "e", "f"), 2))
     for _ in range(50):
         draw = dist.draw(("d", "e", "f"), 2, c)
-        assert dist.probability(("d", "e", "f"), draw.nodes, 2) == Fraction(1, 3)
+        assert support[tuple(sorted(draw.nodes))] == Fraction(1, 3)
 
 
 def test_select_hypernode_rejects_nonpositive():
@@ -156,7 +158,7 @@ def test_select_hypernode_rejects_nonpositive():
         dist.draw(("a", "b"), 2, c)
     assert err.value.node == "b"
     with pytest.raises(NonpositiveWeight):
-        dist.probability(("a", "b"), ("a",), 2)
+        dict(dist.support(("a", "b"), 2))
 
 
 def test_two_phase_marginals_match_closed_form():
