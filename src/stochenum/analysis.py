@@ -12,6 +12,16 @@ input is treated as the rational it denotes), so identities hold with
 zero tolerance; pass exact=False to trade that for speed on larger
 instance sets.  All enumerations count against explicit caps and raise
 CapExceeded rather than truncating.
+
+The recursions (sequence count, variance, CV^2) memoize per hypernode.
+When the oracle defines ``state`` (see ``TreeOracle``) and the weight, if
+any, has ``child_values``, the memo key is the multiset of member states,
+so hypernodes reached by different paths are evaluated once.  Having
+``child_values`` marks a weight as a function of the node's state, the
+contract the mask walk's expansion cache relies on too; any other weight
+may read the whole path, so its memo stays keyed on the members.  Exact
+results do not change; in float mode a merged hypernode may sum its
+terms in another order and so round differently.
 """
 
 from __future__ import annotations
@@ -37,6 +47,10 @@ BOUNDS_CSV_HEADER = (
 )
 
 
+class AlphaUndefined(ValueError):
+    """A successor forest of zero total cost leaves an alpha factor undefined."""
+
+
 class _Expansion(NamedTuple):
     """Successor union S, min(budget, |S|), C(|S|-1, take-1), and the
     successor weights with r(S) and subtree costs with c(S) (or None)."""
@@ -51,10 +65,7 @@ class _Expansion(NamedTuple):
 
 
 def _expand(t: TreeOracle, nodes, budget: int, wvalue=None, subcost=None) -> _Expansion | None:
-    """Expansion of the hypernode ``nodes``; None when it is terminal.
-
-    Raises NonpositiveWeight on a successor weight <= 0.
-    """
+    """Expansion of the hypernode ``nodes``; None when it is terminal."""
     succ = hypernode_successors(nodes, t)
     if not succ:
         return None
@@ -62,9 +73,6 @@ def _expand(t: TreeOracle, nodes, budget: int, wvalue=None, subcost=None) -> _Ex
     w_of = r_all = c_of = c_all = None
     if wvalue is not None:
         w_of = {x: wvalue(x) for x in succ}
-        for x, w in w_of.items():
-            if not w > 0:
-                raise NonpositiveWeight(x, w)
         r_all = sum(w_of.values())
     if subcost is not None:
         c_of = {x: subcost(x) for x in succ}
@@ -73,11 +81,35 @@ def _expand(t: TreeOracle, nodes, budget: int, wvalue=None, subcost=None) -> _Ex
 
 
 def _domain(t: TreeOracle, weight: WeightFunction | None, exact: bool):
-    """(conv, weight value, subtree cost) in the exact or float domain."""
+    """(conv, weight value, subtree cost) in the exact or float domain.
+
+    The weight value raises NonpositiveWeight on a weight <= 0 (NaN
+    included) before conversion, reporting the float the draw sees.
+    """
     conv = Fraction if exact else float
     if weight is None:
         return conv, None, None
-    return conv, (lambda x: conv(float(weight(x)))), subtree_cost_function(t, conv)
+
+    def wvalue(x):
+        w = float(weight(x))
+        if not w > 0:
+            raise NonpositiveWeight(x, w)
+        return conv(w)
+
+    return conv, wvalue, subtree_cost_function(t, conv)
+
+
+def _memo_key(t: TreeOracle, weight: WeightFunction | None):
+    """Memo key of a hypernode's member tuple, or None for the tuple itself.
+
+    States merge hypernodes only under the contract in the module
+    docstring: the oracle defines ``state`` and the weight, if any, has
+    ``child_values``.
+    """
+    state = t.state
+    if state is None or (weight is not None and not hasattr(weight, "child_values")):
+        return None
+    return lambda nodes: tuple(sorted(map(state, nodes)))
 
 
 @dataclass(frozen=True)
@@ -117,24 +149,27 @@ def count_sequences(
 ) -> int:
     """Number of complete hypernode sequences a walk could produce.
 
-    Cheap feasibility probe for the enumerators below; aborts with
-    CapExceeded as soon as the count passes the cap.
+    Cheap feasibility probe for the enumerators below: a hypernode's
+    count is the sum over its hyperchildren (1 when terminal), memoized
+    per hypernode.  Aborts with CapExceeded as soon as a partial sum
+    passes the cap; every partial sum is at most the total, so that
+    happens exactly when the total does.
     """
-    count = 0
 
-    def rec(nodes):
-        nonlocal count
-        exp = _expand(t, nodes, budget)
+    def capped(total):
+        if total > max_sequences:
+            raise CapExceeded(f"more than {max_sequences} hypernode sequences")
+        return total
+
+    def step(nodes, exp, count_of):
         if exp is None:
-            count += 1
-            if count > max_sequences:
-                raise CapExceeded(f"more than {max_sequences} hypernode sequences")
-            return
+            return capped(1)
+        total = 0
         for sub in itertools.combinations(exp.succ, exp.take):
-            rec(sub)
+            total = capped(total + count_of(tuple(sorted(sub))))
+        return total
 
-    rec(t.root_hypernode.nodes)
-    return count
+    return _hypernode_recursion(t, budget, math.inf, _memo_key(t, None), step)
 
 
 def enumerate_distribution(
@@ -176,7 +211,7 @@ def enumerate_distribution(
             outcomes.append(Outcome(prob, size0 * total, alpha_acc, seq))
             return
         if weight is not None and exp.c_all == 0:
-            raise ValueError(f"successor forest of {nodes!r} has zero total cost; alpha undefined")
+            raise AlphaUndefined(f"successor forest of {nodes!r} has zero total cost; alpha undefined")
         size = len(nodes)
         for wnodes, p in dist.support(exp.succ, budget):
             p = conv(p)
@@ -206,7 +241,10 @@ def enumerate_distribution(
 
     one = conv(1)
     lvl0 = sum(conv(t.cost(v)) for v in root.nodes) / size0
-    rec(root.nodes, 0, one, one, lvl0, one, (root,) if keep_sequences else None)
+    try:
+        rec(root.nodes, 0, one, one, lvl0, one, (root,) if keep_sequences else None)
+    finally:
+        del rec  # rec refers to itself: break that cycle so the tree and memos free now
 
     if exact:
         total_p = sum(o.probability for o in outcomes)
@@ -230,6 +268,21 @@ class AlphaStats:
     level_max_product: object
     sequences: int
 
+    @classmethod
+    def from_distribution(cls, od: OutcomeDistribution, exact: bool = True) -> "AlphaStats":
+        """Alpha moments of an enumeration made with a weight function."""
+        if exact:
+            mean = sum(o.probability * o.alpha for o in od.outcomes)
+            var = sum(o.probability * (o.alpha - mean) ** 2 for o in od.outcomes)
+        else:
+            mean = math.fsum(o.probability * o.alpha for o in od.outcomes)
+            var = math.fsum(o.probability * (o.alpha - mean) ** 2 for o in od.outcomes)
+        max_alpha = max(o.alpha for o in od.outcomes)
+        product = Fraction(1) if exact else 1.0
+        for factor in od.level_max:
+            product *= factor
+        return cls(mean, var, max_alpha, product, len(od.outcomes))
+
 
 def alpha_stats(
     t: TreeOracle,
@@ -248,40 +301,35 @@ def alpha_stats(
     od = enumerate_distribution(
         t, budget, ImportanceInduced(weight), max_sequences=max_sequences, exact=exact, weight=weight,
     )
-    if exact:
-        mean = sum(o.probability * o.alpha for o in od.outcomes)
-        var = sum(o.probability * (o.alpha - mean) ** 2 for o in od.outcomes)
-    else:
-        mean = math.fsum(o.probability * o.alpha for o in od.outcomes)
-        var = math.fsum(o.probability * (o.alpha - mean) ** 2 for o in od.outcomes)
-    max_alpha = max(o.alpha for o in od.outcomes)
-    product = Fraction(1) if exact else 1.0
-    for factor in od.level_max:
-        product *= factor
-    return AlphaStats(mean, var, max_alpha, product, len(od.outcomes))
+    return AlphaStats.from_distribution(od, exact)
 
 
-def _hypernode_recursion(t, budget, max_states, wvalue, subcost, step):
+def _hypernode_recursion(t, budget, max_states, key, step, wvalue=None, subcost=None):
     """Memoized recursion over the hypernodes reachable from the root.
 
     ``step(nodes, exp, value_of)`` gives a hypernode's value from its
     expansion (None when terminal) and the values of its hyperchildren.
+    ``key`` maps a member tuple to its memo key (None: the tuple itself).
     """
     memo: dict = {}
     visited = 0
 
     def value_of(nodes):
         nonlocal visited
-        known = memo.get(nodes)
+        k = nodes if key is None else key(nodes)
+        known = memo.get(k)
         if known is not None:
             return known
         visited += 1
         if visited > max_states:
             raise CapExceeded(f"more than {max_states} hypernode states")
-        memo[nodes] = step(nodes, _expand(t, nodes, budget, wvalue, subcost), value_of)
-        return memo[nodes]
+        memo[k] = step(nodes, _expand(t, nodes, budget, wvalue, subcost), value_of)
+        return memo[k]
 
-    return value_of(t.root_hypernode.nodes)
+    try:
+        return value_of(t.root_hypernode.nodes)
+    finally:
+        del value_of  # value_of refers to itself: break that cycle so the memo frees now
 
 
 def recursive_variance(
@@ -298,8 +346,9 @@ def recursive_variance(
         Var(v) = sum_w  (r(S)/r(w)) * (Var(w) + Cost(T_w)^2) / C(|S|-1, |w|-1)
                  - Cost(T_S)^2
 
-    with variance 0 at terminal hypernodes.  Memoized per hypernode; this
-    is the closed-form twin of the enumeration variance and the pair is
+    with variance 0 at terminal hypernodes.  Memoized per hypernode (by
+    member states where the module docstring allows); this is the
+    closed-form twin of the enumeration variance and the pair is
     asserted equal in the test suite.
     """
     conv, wvalue, subcost = _domain(t, weight, exact)
@@ -314,7 +363,7 @@ def recursive_variance(
             acc += (exp.r_all / r_sel) * (var_of(tuple(sorted(sub))) + c_sel * c_sel) / exp.binom
         return acc - exp.c_all * exp.c_all
 
-    return _hypernode_recursion(t, budget, max_states, wvalue, subcost, step)
+    return _hypernode_recursion(t, budget, max_states, _memo_key(t, weight), step, wvalue, subcost)
 
 
 def recursive_cv2(
@@ -347,7 +396,7 @@ def recursive_cv2(
         ratio_s = exp.c_all / cost_v
         return acc - ratio_s * ratio_s
 
-    return _hypernode_recursion(t, budget, max_states, wvalue, subcost, step)
+    return _hypernode_recursion(t, budget, max_states, _memo_key(t, weight), step, wvalue, subcost)
 
 
 def cost_split_identity(t: TreeOracle, h: Hypernode, budget: int):

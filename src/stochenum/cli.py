@@ -105,8 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--fixture", choices=FIXTURES)
     p.add_argument("--budget", type=int, default=1)
     p.add_argument(
-        "--importance", default="uniform",
+        "--importance", default=None,
         choices=("uniform", "1", "2", "3", "f1", "f2", "f3", "ideal"),
+        help="weight kind (default: uniform; the example-importance fixture "
+        "always runs its leaf-count weight and takes no --importance)",
     )
     p.add_argument("--runs", type=int, default=1000)
 
@@ -198,17 +200,24 @@ def cmd_exact(args) -> int:
 
 def cmd_estimate(args) -> int:
     tree, poset, label = _load_instance(args)
+    importance = args.importance or "uniform"
     if args.fixture == "example-importance":
+        if args.importance is not None:
+            raise ValueError(
+                f"--importance {args.importance} would be ignored: the example-importance "
+                "fixture always runs its leaf-count weight"
+            )
+        importance = "leafcount"
         dist = ImportanceInduced(fixture_example_importance())
-    elif args.importance == "uniform":
+    elif importance == "uniform":
         dist = UniformHyperchild()
     elif poset is not None:
-        dist = ImportanceInduced(importance_function(tree, args.importance))
-    elif args.importance == "ideal":
+        dist = ImportanceInduced(importance_function(tree, importance))
+    elif importance == "ideal":
         dist = ideal_cost_distribution(tree)
     else:
         raise ValueError(
-            f"importance {args.importance!r} needs a poset instance; "
+            f"importance {importance!r} needs a poset instance; "
             "the plain tree fixture supports uniform and ideal"
         )
     summary = run_many(tree, args.budget, dist, args.runs, args.seed, threads=args.threads)
@@ -219,7 +228,7 @@ def cmd_estimate(args) -> int:
         exact = int(exact_forest_cost(tree))
     header = ("instance", "budget", "importance", "runs", "mean", "variance", "rel_variance", "stderr", "exact")
     row = [
-        label, str(args.budget), args.importance, str(summary.runs),
+        label, str(args.budget), importance, str(summary.runs),
         repr(summary.mean),
         "" if summary.variance is None else repr(summary.variance),
         "" if summary.rel_variance is None else repr(summary.rel_variance),

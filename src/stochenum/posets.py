@@ -278,6 +278,16 @@ class LEDecisionTree(TreeOracle):
     def cost(self, node) -> float:
         return 1.0 if len(node[0]) == self.n else 0.0
 
+    def state(self, node) -> tuple[int, int]:
+        """(deleted mask, last deleted element or -1).
+
+        The mask fixes the subtree, the depth and the cost; with the last
+        element it also fixes every weight in this module, so exact
+        recursions may merge hypernodes whose members agree on this.
+        """
+        prefix, deleted = node
+        return deleted, prefix[-1] if prefix else -1
+
     def subtree_cost(self, node) -> int:
         return self.completions(node[1])
 

@@ -75,6 +75,14 @@ class TreeOracle:
     # Optional fast path; ``subtree_cost_function`` falls back to traversal.
     subtree_cost: Callable | None = None
 
+    # Optional merge contract for the exact recursions in ``analysis``:
+    # ``state(node)`` is a hashable summary such that nodes with equal
+    # states have equal depths, costs, subtree shapes (successor states,
+    # in order) and weights under every weight that has ``child_values``.
+    # Hypernodes whose member states agree as multisets then share one
+    # memo entry.  None keys the memo on the members themselves.
+    state: Callable | None = None
+
 
 def hypernode_successors(h: Hypernode | Sequence, t: TreeOracle) -> tuple:
     """Successor union of a hypernode (or its member tuple), member order

@@ -7,14 +7,28 @@ distribution, agreement of the recursive variance and CV forms with
 enumeration, the alpha diagnostics with their bound chain, and the
 zero-variance property of exact-cost weights.  The CLI exposes this as a
 user-facing command; the test suite calls the same functions.
+
+A weighted (tree, budget, weight) cell is analyzed once however many
+checks read it: one enumeration under the weight's induced draw (which
+also yields the alpha moments), one variance recursion and one CV^2
+recursion.  Only their scalars are kept, per tree, for as long as the
+tree and the weight live, so the checks share them whether they run
+from ``run_checks`` or one by one.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
-from .analysis import (
+# alpha_stats is not called here (a cell reads the alpha moments off its
+# one enumeration), but stays bound in this module with the other
+# analysis entry points for instrumentation that wraps them here.
+from .analysis import (  # noqa: F401
+    AlphaStats,
+    AlphaUndefined,
     alpha_stats,
     bounds_csv_row,
     cost_split_identity,
@@ -220,6 +234,89 @@ def _exact_cost(t) -> Fraction:
     return sum((subcost(v) for v in t.root_hypernode), Fraction(0))
 
 
+class _Enumerated(NamedTuple):
+    mean: Fraction
+    total_probability: Fraction
+    variance: Fraction
+
+
+class _Cell:
+    """What the checks read of one weighted cell, each part set on first
+    use: ``enumeration``, ``alpha`` (the AlphaStats, or the message of the
+    AlphaUndefined the weighted enumeration raised), and the ``variance``
+    and ``cv2`` recursions.  ``weight`` resolves to the cell's weight
+    while that lives."""
+
+    __slots__ = ("weight", "enumeration", "alpha", "variance", "cv2")
+
+    def __init__(self, weight):
+        try:
+            self.weight = weakref.ref(weight)
+        except TypeError:  # e.g. a builtin bound method such as dict.__getitem__
+            self.weight = lambda: weight
+        self.enumeration = self.alpha = self.variance = self.cv2 = None
+
+
+# tree -> {(budget, max_sequences, id(weight)): _Cell}
+_CELLS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _cell(t, budget: int, weight, max_sequences: int) -> _Cell:
+    """The shared cell of a tree, budget, weight and cap.
+
+    A cell counts only while its weight reference still resolves to this
+    very object, so a new weight that reuses an old one's id starts a new
+    cell.  No cell holds its tree, so a tree is freed with its last user.
+    """
+    try:
+        cells = _CELLS.setdefault(t, {})
+    except TypeError:  # an oracle that is unhashable or has no weak references
+        return _Cell(weight)
+    key = (budget, max_sequences, id(weight))
+    cell = cells.get(key)
+    if cell is None or cell.weight() is not weight:
+        cell = cells[key] = _Cell(weight)
+    return cell
+
+
+def _enumerated(t, budget: int, weight, max_sequences: int) -> _Cell:
+    """The cell, with its enumeration under ``ImportanceInduced(weight)``."""
+    cell = _cell(t, budget, weight, max_sequences)
+    if cell.enumeration is None:
+        dist = ImportanceInduced(weight)
+        try:
+            od = enumerate_distribution(t, budget, dist, max_sequences=max_sequences, weight=weight)
+            cell.alpha = AlphaStats.from_distribution(od)
+        except AlphaUndefined as exc:
+            # The estimate's moments are still defined; only the alpha
+            # check raises, as a standalone alpha_stats would.
+            od = enumerate_distribution(t, budget, dist, max_sequences=max_sequences)
+            cell.alpha = str(exc)
+        cell.enumeration = _Enumerated(od.mean, od.total_probability, od.variance)
+    return cell
+
+
+def _alpha(t, budget: int, weight, max_sequences: int) -> AlphaStats:
+    alpha = _enumerated(t, budget, weight, max_sequences).alpha
+    if isinstance(alpha, str):
+        raise AlphaUndefined(alpha)
+    return alpha
+
+
+def _variance(t, budget: int, weight, max_sequences: int):
+    cell = _cell(t, budget, weight, max_sequences)
+    if cell.variance is None:
+        cell.variance = recursive_variance(t, budget, weight)
+    return cell.variance
+
+
+def _cv2(t, budget: int, weight, max_sequences: int):
+    cell = _cell(t, budget, weight, max_sequences)
+    if cell.cv2 is None:
+        cell.cv2 = recursive_cv2(t, budget, weight)
+    return cell.cv2
+
+
 def check_unbiasedness(instances, budgets, max_sequences) -> CheckResult:
     """Enumerated expectation equals exact forest cost, exactly."""
     res = CheckResult("unbiasedness of enumerated expectation")
@@ -227,7 +324,11 @@ def check_unbiasedness(instances, budgets, max_sequences) -> CheckResult:
         cost = _exact_cost(t)
         for budget in budgets:
             for dist_label, dist in dists:
-                od = enumerate_distribution(t, budget, dist, max_sequences=max_sequences)
+                # exactly the cell's draw; a subclass may change the support
+                if type(dist) is ImportanceInduced:
+                    od = _enumerated(t, budget, dist.weight, max_sequences).enumeration
+                else:
+                    od = enumerate_distribution(t, budget, dist, max_sequences=max_sequences)
                 res.instances += 1
                 if od.total_probability != 1:
                     res.fail(f"{label} B={budget} {dist_label}: probabilities sum to {od.total_probability}")
@@ -245,16 +346,14 @@ def check_variance_forms(instances, budgets, max_sequences) -> CheckResult:
         cost = _exact_cost(t)
         for budget in budgets:
             for w_label, weight in weights:
-                od = enumerate_distribution(
-                    t, budget, ImportanceInduced(weight), max_sequences=max_sequences
-                )
-                var = recursive_variance(t, budget, weight)
+                od = _enumerated(t, budget, weight, max_sequences).enumeration
+                var = _variance(t, budget, weight, max_sequences)
                 res.instances += 1
                 if var != od.variance:
                     res.fail(f"{label} B={budget} {w_label}: recursion {var} != enumeration {od.variance}")
                     return res
                 if cost != 0:
-                    cv2 = recursive_cv2(t, budget, weight)
+                    cv2 = _cv2(t, budget, weight, max_sequences)
                     if cv2 != var / (cost * cost):
                         res.fail(f"{label} B={budget} {w_label}: cv2 recursion {cv2} != {var / (cost * cost)}")
                         return res
@@ -267,8 +366,8 @@ def check_alpha_suite(instances, budgets, max_sequences, bounds_sink=None) -> Ch
     for label, t, weights in instances:
         for budget in budgets:
             for w_label, weight in weights:
-                stats = alpha_stats(t, budget, weight, max_sequences=max_sequences)
-                cv2 = recursive_cv2(t, budget, weight)
+                stats = _alpha(t, budget, weight, max_sequences)
+                cv2 = _cv2(t, budget, weight, max_sequences)
                 res.instances += 1
                 if stats.mean != 1:
                     res.fail(f"{label} B={budget} {w_label}: expected alpha {stats.mean} != 1")
@@ -291,7 +390,7 @@ def check_alpha_suite(instances, budgets, max_sequences, bounds_sink=None) -> Ch
                     return res
                 if bounds_sink is not None:
                     bounds_sink.append(
-                        bounds_csv_row(label, budget, w_label, recursive_variance(t, budget, weight), cv2, stats)
+                        bounds_csv_row(label, budget, w_label, _variance(t, budget, weight, max_sequences), cv2, stats)
                     )
     return res
 
@@ -341,14 +440,15 @@ def run_checks(
         trees.append((f"poset-{i}", LEDecisionTree(p)))
 
     uniform_weight = lambda node: 1.0
+    leafcount = fixture_example_importance()
     fixture_dists = [
         ("uniform", UniformHyperchild()),
-        ("leafcount", ImportanceInduced(fixture_example_importance())),
+        ("leafcount", ImportanceInduced(leafcount)),
         ("ideal", ideal_cost_distribution(fixture)),
     ]
     unbiased_instances = [("fixture-tree", fixture, fixture_dists)]
     weighted_instances = [
-        ("fixture-tree", fixture, [("uniform", uniform_weight), ("leafcount", fixture_example_importance())]),
+        ("fixture-tree", fixture, [("uniform", uniform_weight), ("leafcount", leafcount)]),
     ]
     zero_var_instances = [("fixture-tree", fixture)]
     for i, p in enumerate(poset_instances):

@@ -150,6 +150,25 @@ def test_estimate_labeled_fixture(capsys):
     assert row["exact"] == "14"
 
 
+def test_estimate_example_importance_is_labeled_leafcount(capsys):
+    code, out, err = run_cli(capsys, "--seed", "2", "estimate", "--fixture", "example-importance",
+                             "--budget", "2", "--runs", "50")
+    assert code == 0 and err == ""
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert row["importance"] == "leafcount"
+    code, out, err = run_cli(capsys, "estimate", "--fixture", "example-importance",
+                             "--importance", "ideal", "--runs", "50")
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "--importance ideal would be ignored" in err
+
+
+def test_estimate_default_importance_is_uniform(capsys):
+    code, out, _ = run_cli(capsys, "estimate", "--fixture", "poset-fig3", "--runs", "20")
+    assert code == 0
+    assert next(csv.DictReader(io.StringIO(out)))["importance"] == "uniform"
+
+
 def test_estimate_poset_importance_on_plain_tree_rejected(capsys):
     code, _, err = run_cli(
         capsys, "estimate", "--fixture", "example", "--importance", "2", "--runs", "10",
@@ -162,12 +181,14 @@ def test_estimate_poset_importance_on_plain_tree_rejected(capsys):
 @pytest.mark.parametrize("importance", ["uniform", "1", "2", "3", "f1", "f2", "f3", "ideal"])
 def test_fixture_estimates_at_two_workers(capsys, fixture, importance):
     # The weight crosses the process pool by pickling.  Supported pairs
-    # print the 1-worker bytes; the plain tree's poset weights stay usage errors.
+    # print the 1-worker bytes; the plain tree's poset weights stay usage
+    # errors, and so does any --importance on the example-importance
+    # fixture, which always runs its leaf-count weight.
     args = ("--seed", "4", "estimate", "--fixture", fixture, "--budget", "2",
             "--importance", importance, "--runs", "200")
     one = run_cli(capsys, "--threads", "1", *args)
     two = run_cli(capsys, "--threads", "2", *args)
-    supported = fixture != "example" or importance in ("uniform", "ideal")
+    supported = fixture == "poset-fig3" or (fixture == "example" and importance in ("uniform", "ideal"))
     assert one[0] == two[0] == (0 if supported else 2)
     assert one[1:] == two[1:]
 

@@ -273,6 +273,49 @@ def test_child_values_match_node_weights():
             assert w_batch.guard_hits == w_node.guard_hits
 
 
+def _tree_nodes(tree, limit=400):
+    """The first ``limit`` nodes of a decision tree, breadth first."""
+    nodes = [((), 0)]
+    for node in nodes:
+        if len(nodes) >= limit:
+            break
+        nodes += tree.successors(node)
+    return nodes[:limit]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    p=st.sampled_from((0.05, 0.2, 0.4)),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_weights_do_not_depend_on_evaluation_order(n, p, seed, data):
+    # Weights are pure functions of the node: a tree and weight that have
+    # already evaluated other masks, in shuffled order, give every value a
+    # fresh pair gives.  The mask walk's expansion cache and the state
+    # memo of the exact recursions both rely on this.
+    poset = random_poset(n, p, seed)
+    nodes = _tree_nodes(LEDecisionTree(poset))
+    warm_order = data.draw(st.permutations(nodes), label="warm-up order")
+    targets = data.draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=8), label="targets")
+    for kind in ("f1", "f2", "f3", "ideal"):
+        warm_tree = LEDecisionTree(poset)
+        warm = importance_function(warm_tree, kind)
+        for prefix, mask in warm_order:
+            warm.child_values(mask, warm_tree.maximal_after(mask))
+            if prefix:
+                warm((prefix, mask))
+        for prefix, mask in targets:
+            fresh_tree = LEDecisionTree(poset)
+            fresh = importance_function(fresh_tree, kind)
+            kids = fresh_tree.maximal_after(mask)
+            assert warm.child_values(mask, kids) == fresh.child_values(mask, kids), (kind, mask)
+            if prefix:
+                fresh = importance_function(LEDecisionTree(poset), kind)
+                assert warm((prefix, mask)) == fresh((prefix, mask)), (kind, prefix)
+
+
 def test_importance_kind_aliases_and_unknown():
     p = fixture_poset()
     tree = LEDecisionTree(p)

@@ -1,0 +1,82 @@
+"""The check suite behind ``stochenum verify``: pinned output, and one
+exact analysis per weighted cell."""
+
+import hashlib
+from collections import Counter
+
+import pytest
+
+from stochenum import verify
+from stochenum.cli import main
+from stochenum.estimators import ImportanceInduced
+from stochenum.tree import ExplicitTree
+
+# Recorded before the per-cell sharing: stdout and the --out CSV of
+# `--seed 7 verify --max-n 5 --posets 16 --max-sequences 200`.
+GOLDEN_STDOUT = """\
+PASS  golden fixtures (5 instances)
+PASS  cost-splitting identity (395 instances)
+PASS  unbiasedness of enumerated expectation (249 instances)
+PASS  recursive variance and CV agreement (198 instances)
+PASS  alpha diagnostics and bounds (198 instances)
+PASS  zero variance under exact-cost weights (51 instances)
+wrote {out}
+all 6 checks passed
+"""
+GOLDEN_CSV_ROWS = 199
+GOLDEN_CSV_SHA256 = "df7d0ecc24f6e07b9d8aa4cea03d372fef6c1c10fb6cea7225edf8083e9aaaec"
+
+
+def test_verify_output_is_pinned(tmp_path, capsys):
+    out = tmp_path / "bounds.csv"
+    code = main(["--seed", "7", "verify", "--max-n", "5", "--posets", "16",
+                 "--max-sequences", "200", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert captured.out == GOLDEN_STDOUT.format(out=out)
+    data = out.read_bytes()
+    assert data.count(b"\n") == GOLDEN_CSV_ROWS
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_CSV_SHA256
+
+
+def test_run_checks_analyzes_each_weighted_cell_once(monkeypatch):
+    calls = {name: Counter() for name in ("enumerate", "variance", "cv2", "plain")}
+
+    def spy(name, fn):
+        def wrapper(t, budget, *args, **kwargs):
+            if name == "enumerate":
+                weight = kwargs.get("weight")
+                calls["enumerate" if weight is not None else "plain"][t, budget, weight] += 1
+            else:
+                calls[name][t, budget, args[0]] += 1
+            return fn(t, budget, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(verify, "enumerate_distribution", spy("enumerate", verify.enumerate_distribution))
+    monkeypatch.setattr(verify, "recursive_variance", spy("variance", verify.recursive_variance))
+    monkeypatch.setattr(verify, "recursive_cv2", spy("cv2", verify.recursive_cv2))
+    posets, budgets = 4, 2
+    results = verify.run_checks(max_n=4, max_budget=budgets, posets=posets, seed=3, max_sequences=2000)
+    assert all(r.passed for r in results)
+    # fixture: uniform and leaf-count weights, plus the ideal draw the
+    # unbiasedness check reads; posets: four kinds each
+    weighted = budgets * (2 + 4 * posets)
+    assert len(calls["enumerate"]) == weighted + budgets
+    assert len(calls["variance"]) == len(calls["cv2"]) == weighted
+    for name in ("enumerate", "variance", "cv2"):
+        assert set(calls[name].values()) == {1}, name
+    # weightless enumerations: the uniform draws and the zero-variance check
+    assert not set(calls["plain"]) & set(calls["enumerate"])
+
+
+def test_unbiasedness_passes_on_a_zero_cost_successor_forest():
+    # The root's children cost nothing, so alpha is undefined below the
+    # root; the estimate is still unbiased, and only the alpha check raises.
+    t = ExplicitTree({"a": ("b", "c"), "b": ("d",)}, roots=("a",),
+                     costs={"a": 1.0, "b": 0.0, "c": 0.0, "d": 0.0})
+    weight = lambda node: 1.0
+    instances = [("zero-cost", t, [("uniform", ImportanceInduced(weight))])]
+    res = verify.check_unbiasedness(instances, (1, 2), 1000)
+    assert res.passed and res.instances == 2
+    with pytest.raises(ValueError, match="alpha undefined"):
+        verify.check_alpha_suite([("zero-cost", t, [("uniform", weight)])], (1,), 1000)
