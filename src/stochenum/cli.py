@@ -44,7 +44,7 @@ from .posets import (
     save_poset,
 )
 from .tree import exact_forest_cost, fixture_example_importance, fixture_example_tree
-from .verify import run_checks
+from .verify import DEFAULT_SEED, run_checks
 
 FIXTURES = ("example", "example-importance", "poset-fig3")
 
@@ -77,7 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tree-cost estimation by stochastic enumeration, with an "
         "application to counting linear extensions of posets.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="base seed for all randomness")
+    parser.add_argument(
+        "--seed", type=int, default=None,
+        help=f"base seed for all randomness (default: {DEFAULT_SEED} for verify, 0 otherwise)",
+    )
     parser.add_argument(
         "--threads", type=int, default=None,
         help="worker processes (default: SE_COUNT_THREADS or 1)",
@@ -122,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimates", type=int, help="estimates per poset")
     p.add_argument("--importance", default="uniform,f1,f2,f3", help="comma-separated kinds")
     p.add_argument("--scale", type=float, default=1.0, help="replicate scale divisor")
-    p.add_argument("--full-protocol", action="store_true", help="unscaled n^2 replicates")
+    p.add_argument("--full-protocol", action="store_true", help="exactly n^2 replicates: ignore --scale and the floor of 64")
     p.add_argument("--exact-ref", action="store_true",
                    help="divide by the exact squared count instead of the squared sample mean")
     p.add_argument("--verify-small", action="store_true",
@@ -295,7 +298,7 @@ def cmd_verify(args) -> int:
         max_n=args.max_n,
         max_budget=args.max_budget,
         posets=args.posets,
-        seed=args.seed if args.seed else 20240501,
+        seed=args.seed,
         max_sequences=args.max_sequences,
         bounds_sink=bounds,
     )
@@ -328,6 +331,8 @@ def main(argv=None) -> int:
         "sweep": cmd_sweep,
         "verify": cmd_verify,
     }
+    if args.seed is None:
+        args.seed = DEFAULT_SEED if args.command == "verify" else 0
     try:
         args.threads = _threads(args)
         return handlers[args.command](args)

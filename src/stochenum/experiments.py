@@ -41,8 +41,9 @@ class SweepConfig:
 
     ``kind`` is "n" (sweep poset size, budget fixed) or "B" (sweep
     budget, size fixed).  Replicate counts default to max(64,
-    round((n/scale)^2)) per point; ``full_protocol`` switches to the
-    unscaled n^2 counts, which is far beyond desk scale for large n.
+    round((n/scale)^2)) per point, which at the default scale 1 is
+    already n^2 from n = 8 up; ``full_protocol`` gives exactly n^2,
+    ignoring ``scale`` and the floor of 64.
     """
 
     kind: str
@@ -190,15 +191,13 @@ def _check_ratios(ratios: list[float], n: int, budget: int, imp: str) -> None:
     is more than 5 standard errors (+1e-9 for rounding) from 1.  Fewer
     than two ratios give no standard error and are not checked.
     """
-    k = len(ratios)
-    if k < 2:
+    if len(ratios) < 2:
         return
-    mean = math.fsum(ratios) / k
-    stderr = math.sqrt(math.fsum((r - mean) ** 2 for r in ratios) / (k - 1) / k)
-    if abs(mean - 1) > 5 * stderr + 1e-9:
+    summary = summarize(ratios)
+    if abs(summary.mean - 1) > 5 * summary.stderr + 1e-9:
         raise VerificationFailure(
-            f"mean of estimate/exact ratios {mean!r} over {k} posets is more than 5 standard "
-            f"errors ({stderr!r}) from 1 (n={n}, B={budget}, importance={imp})"
+            f"mean of estimate/exact ratios {summary.mean!r} over {summary.runs} posets is more than 5 "
+            f"standard errors ({summary.stderr!r}) from 1 (n={n}, B={budget}, importance={imp})"
         )
 
 
@@ -234,15 +233,10 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> list[SweepRow]:
             rels = [rel for _, (rel, _, _, _) in cell if rel is not None]
             zero_mean = sum(1 for _, (rel, _, _, _) in cell if rel is None)
             if rels:
-                mean_rel = math.fsum(rels) / len(rels)
-                if len(rels) > 1:
-                    spread = math.fsum((x - mean_rel) ** 2 for x in rels) / (len(rels) - 1)
-                    stderr = math.sqrt(spread / len(rels))
-                else:
-                    stderr = 0.0
+                summary = summarize(rels)
+                mean_rel, stderr = summary.mean, summary.stderr if len(rels) > 1 else 0.0
             else:
-                mean_rel = float("nan")
-                stderr = float("nan")
+                mean_rel = stderr = float("nan")
             hits = sum(g[0] for _, (_, g, _, _) in cell if g is not None)
             evals = sum(g[1] for _, (_, g, _, _) in cell if g is not None)
             guard_frac = (hits / evals) if evals else None

@@ -130,21 +130,11 @@ def random_poset(n: int, p: float, seed: int) -> Poset:
     For i < j the candidate relation is v_i > v_j, so every generated
     relation points from lower to higher index and no cycle can arise.
     """
-    if n < 1:
-        raise ValueError("poset needs at least one element")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     src = RandomSource(seed)
-    gt = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if src.random() < p:
-                gt[i] |= 1 << j
-    for k in range(n):
-        for i in range(n):
-            if gt[i] >> k & 1:
-                gt[i] |= gt[k]
-    return Poset(n, gt)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if src.random() < p]
+    return Poset.from_relations(n, pairs)
 
 
 def count_linear_extensions(poset: Poset) -> int:
@@ -177,30 +167,28 @@ def count_linear_extensions(poset: Poset) -> int:
         unseen &= ~component
         size = component.bit_count()
         placed += size
-        total *= math.comb(placed, size) * _count_within(poset.above, component)
+        total *= math.comb(placed, size) * _completions(poset.above, {0: 1}, component)
     return total
 
 
-def _count_within(above: tuple[int, ...], full: int) -> int:
-    """Deletion orders of the elements in ``full``, a union of components."""
-    memo = {full: 1}
+def _completions(above: tuple[int, ...], memo: dict[int, int], remaining: int) -> int:
+    """Deletion orders of the elements in ``remaining``, a down-set.
 
-    def ways(deleted: int) -> int:
-        known = memo.get(deleted)
-        if known is not None:
-            return known
-        total = 0
-        remaining = full & ~deleted
-        m = remaining
-        while m:
-            e = (m & -m).bit_length() - 1
-            m &= m - 1
-            if above[e] & remaining == 0:
-                total += ways(deleted | (1 << e))
-        memo[deleted] = total
-        return total
-
-    return ways(0)
+    An element can go next when nothing remaining lies above it.  ``memo``
+    is keyed by the remaining set and must map 0 to 1.
+    """
+    known = memo.get(remaining)
+    if known is not None:
+        return known
+    total = 0
+    m = remaining
+    while m:
+        low = m & -m
+        m ^= low
+        if above[low.bit_length() - 1] & remaining == 0:
+            total += _completions(above, memo, remaining ^ low)
+    memo[remaining] = total
+    return total
 
 
 class LEDecisionTree(TreeOracle):
@@ -224,7 +212,7 @@ class LEDecisionTree(TreeOracle):
         self._full = (1 << poset.n) - 1
         self._desc = poset.descendant_counts()
         self._max_memo: dict[int, tuple[int, ...]] = {}
-        self._count_memo: dict[int, int] = {self._full: 1}
+        self._count_memo: dict[int, int] = {0: 1}
         self._chunks: tuple | None = None
 
     def _build_chunks(self) -> tuple:
@@ -293,14 +281,7 @@ class LEDecisionTree(TreeOracle):
 
     def completions(self, deleted: int) -> int:
         """Number of ways to finish deleting; the node's exact subtree cost."""
-        known = self._count_memo.get(deleted)
-        if known is not None:
-            return known
-        total = 0
-        for e in self.maximal_after(deleted):
-            total += self.completions(deleted | (1 << e))
-        self._count_memo[deleted] = total
-        return total
+        return _completions(self.poset.above, self._count_memo, self._full & ~deleted)
 
     def fast_run_block(self, budget: int, weight, seed: int, start: int, stop: int) -> list[float]:
         """Estimates from the root for run indices [start, stop).

@@ -240,81 +240,50 @@ class _Enumerated(NamedTuple):
     variance: Fraction
 
 
-class _Cell:
-    """What the checks read of one weighted cell, each part set on first
-    use: ``enumeration``, ``alpha`` (the AlphaStats, or the message of the
-    AlphaUndefined the weighted enumeration raised), and the ``variance``
-    and ``cv2`` recursions.  ``weight`` resolves to the cell's weight
-    while that lives."""
-
-    __slots__ = ("weight", "enumeration", "alpha", "variance", "cv2")
-
-    def __init__(self, weight):
-        try:
-            self.weight = weakref.ref(weight)
-        except TypeError:  # e.g. a builtin bound method such as dict.__getitem__
-            self.weight = lambda: weight
-        self.enumeration = self.alpha = self.variance = self.cv2 = None
-
-
-# tree -> {(budget, max_sequences, id(weight)): _Cell}
+# tree -> {(part, budget, max_sequences, id(weight)): (weight reference, value)}
 _CELLS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _cell(t, budget: int, weight, max_sequences: int) -> _Cell:
-    """The shared cell of a tree, budget, weight and cap.
+def _analysis(part: str, t, budget: int, weight, max_sequences: int):
+    """One part of a weighted cell's analysis, computed on first use.
 
-    A cell counts only while its weight reference still resolves to this
-    very object, so a new weight that reuses an old one's id starts a new
-    cell.  No cell holds its tree, so a tree is freed with its last user.
+    Parts: "enumeration" is the ``_Enumerated`` moments under
+    ``ImportanceInduced(weight)`` paired with their AlphaStats (or the
+    message of the AlphaUndefined the weighted enumeration raised);
+    "variance" and "cv2" are the recursions.  An entry counts only while
+    its weight reference still resolves to this very object, so a new
+    weight that reuses an old one's id recomputes.  No entry holds its
+    tree, so a tree is freed with its last user.
     """
+    key = (part, budget, max_sequences, id(weight))
     try:
         cells = _CELLS.setdefault(t, {})
     except TypeError:  # an oracle that is unhashable or has no weak references
-        return _Cell(weight)
-    key = (budget, max_sequences, id(weight))
-    cell = cells.get(key)
-    if cell is None or cell.weight() is not weight:
-        cell = cells[key] = _Cell(weight)
-    return cell
-
-
-def _enumerated(t, budget: int, weight, max_sequences: int) -> _Cell:
-    """The cell, with its enumeration under ``ImportanceInduced(weight)``."""
-    cell = _cell(t, budget, weight, max_sequences)
-    if cell.enumeration is None:
+        cells = {}
+    entry = cells.get(key)
+    if entry is not None and entry[0]() is weight:
+        return entry[1]
+    if part == "variance":
+        value = recursive_variance(t, budget, weight)
+    elif part == "cv2":
+        value = recursive_cv2(t, budget, weight)
+    else:
         dist = ImportanceInduced(weight)
         try:
             od = enumerate_distribution(t, budget, dist, max_sequences=max_sequences, weight=weight)
-            cell.alpha = AlphaStats.from_distribution(od)
+            alpha = AlphaStats.from_distribution(od)
         except AlphaUndefined as exc:
             # The estimate's moments are still defined; only the alpha
             # check raises, as a standalone alpha_stats would.
             od = enumerate_distribution(t, budget, dist, max_sequences=max_sequences)
-            cell.alpha = str(exc)
-        cell.enumeration = _Enumerated(od.mean, od.total_probability, od.variance)
-    return cell
-
-
-def _alpha(t, budget: int, weight, max_sequences: int) -> AlphaStats:
-    alpha = _enumerated(t, budget, weight, max_sequences).alpha
-    if isinstance(alpha, str):
-        raise AlphaUndefined(alpha)
-    return alpha
-
-
-def _variance(t, budget: int, weight, max_sequences: int):
-    cell = _cell(t, budget, weight, max_sequences)
-    if cell.variance is None:
-        cell.variance = recursive_variance(t, budget, weight)
-    return cell.variance
-
-
-def _cv2(t, budget: int, weight, max_sequences: int):
-    cell = _cell(t, budget, weight, max_sequences)
-    if cell.cv2 is None:
-        cell.cv2 = recursive_cv2(t, budget, weight)
-    return cell.cv2
+            alpha = str(exc)
+        value = _Enumerated(od.mean, od.total_probability, od.variance), alpha
+    try:
+        ref = weakref.ref(weight)
+    except TypeError:  # e.g. an instance of a class with __slots__ and no __weakref__
+        ref = lambda: weight
+    cells[key] = ref, value
+    return value
 
 
 def check_unbiasedness(instances, budgets, max_sequences) -> CheckResult:
@@ -326,7 +295,7 @@ def check_unbiasedness(instances, budgets, max_sequences) -> CheckResult:
             for dist_label, dist in dists:
                 # exactly the cell's draw; a subclass may change the support
                 if type(dist) is ImportanceInduced:
-                    od = _enumerated(t, budget, dist.weight, max_sequences).enumeration
+                    od = _analysis("enumeration", t, budget, dist.weight, max_sequences)[0]
                 else:
                     od = enumerate_distribution(t, budget, dist, max_sequences=max_sequences)
                 res.instances += 1
@@ -346,14 +315,14 @@ def check_variance_forms(instances, budgets, max_sequences) -> CheckResult:
         cost = _exact_cost(t)
         for budget in budgets:
             for w_label, weight in weights:
-                od = _enumerated(t, budget, weight, max_sequences).enumeration
-                var = _variance(t, budget, weight, max_sequences)
+                od = _analysis("enumeration", t, budget, weight, max_sequences)[0]
+                var = _analysis("variance", t, budget, weight, max_sequences)
                 res.instances += 1
                 if var != od.variance:
                     res.fail(f"{label} B={budget} {w_label}: recursion {var} != enumeration {od.variance}")
                     return res
                 if cost != 0:
-                    cv2 = _cv2(t, budget, weight, max_sequences)
+                    cv2 = _analysis("cv2", t, budget, weight, max_sequences)
                     if cv2 != var / (cost * cost):
                         res.fail(f"{label} B={budget} {w_label}: cv2 recursion {cv2} != {var / (cost * cost)}")
                         return res
@@ -366,8 +335,10 @@ def check_alpha_suite(instances, budgets, max_sequences, bounds_sink=None) -> Ch
     for label, t, weights in instances:
         for budget in budgets:
             for w_label, weight in weights:
-                stats = _alpha(t, budget, weight, max_sequences)
-                cv2 = _cv2(t, budget, weight, max_sequences)
+                stats = _analysis("enumeration", t, budget, weight, max_sequences)[1]
+                if isinstance(stats, str):
+                    raise AlphaUndefined(stats)
+                cv2 = _analysis("cv2", t, budget, weight, max_sequences)
                 res.instances += 1
                 if stats.mean != 1:
                     res.fail(f"{label} B={budget} {w_label}: expected alpha {stats.mean} != 1")
@@ -389,9 +360,8 @@ def check_alpha_suite(instances, budgets, max_sequences, bounds_sink=None) -> Ch
                     res.fail(f"{label} B={budget} {w_label}: alpha second moment above max*mean")
                     return res
                 if bounds_sink is not None:
-                    bounds_sink.append(
-                        bounds_csv_row(label, budget, w_label, _variance(t, budget, weight, max_sequences), cv2, stats)
-                    )
+                    var = _analysis("variance", t, budget, weight, max_sequences)
+                    bounds_sink.append(bounds_csv_row(label, budget, w_label, var, cv2, stats))
     return res
 
 

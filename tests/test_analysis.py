@@ -1,5 +1,6 @@
 """Exact oracles: outcome enumeration, variance recursions, alpha diagnostics."""
 
+import gc
 import itertools
 from fractions import Fraction
 
@@ -404,3 +405,27 @@ def test_prefix_dependent_weight_is_not_merged():
             merged += od.variance != recursive_variance(tree, budget, _StateWeight(first_deleted))
     # the instance set has hypernodes that a state key would merge wrongly
     assert merged > 0
+
+
+def test_exact_computations_leave_no_cyclic_garbage():
+    # A recursive closure that refers to itself keeps its memo alive until
+    # the cycle collector runs; with the collector paused, each exact
+    # computation must free everything it built on return.
+    big = random_poset(22, 0.08, 1)
+    tree = LEDecisionTree(random_poset(5, 0.2, 1))
+    weight = importance_function(tree, "f2")
+    calls = [
+        lambda: count_linear_extensions(big),
+        lambda: enumerate_distribution(tree, 2, ImportanceInduced(weight), max_sequences=200_000),
+        lambda: recursive_variance(tree, 2, weight),
+        lambda: recursive_cv2(tree, 2, weight),
+        lambda: count_sequences(tree, 2),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

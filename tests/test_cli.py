@@ -7,11 +7,11 @@ import json
 import pytest
 from explicit_distribution import ExplicitDistribution
 
-from stochenum import experiments
+from stochenum import cli, experiments
 from stochenum.cli import main
 from stochenum.errors import CapExceeded
 from stochenum.posets import random_poset, save_poset
-from stochenum.verify import check_unbiasedness, enumerable_posets
+from stochenum.verify import DEFAULT_SEED, check_unbiasedness, enumerable_posets
 from stochenum.tree import fixture_example_tree
 
 
@@ -329,6 +329,24 @@ def test_verify_cap_too_small_exit_code(capsys):
     # Running out of enumerable instances is the same cap, not a crash.
     with pytest.raises(CapExceeded, match="enumerable posets"):
         enumerable_posets(1, 0, 6, (1,), 0, sizes=(6,))
+
+
+@pytest.mark.parametrize("argv, seed", [
+    (("--seed", "0", "verify"), 0),
+    (("verify",), DEFAULT_SEED),
+])
+def test_verify_seed_reaches_run_checks(monkeypatch, capsys, argv, seed):
+    seen = []
+    monkeypatch.setattr(cli, "run_checks", lambda **kw: seen.append(kw["seed"]) or [])
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0 and seen == [seed]
+
+
+def test_other_commands_default_to_seed_zero(tmp_path, capsys):
+    default = run_cli(capsys, "gen-poset", "--n", "12", "--out", str(tmp_path / "a.poset"))
+    zero = run_cli(capsys, "--seed", "0", "gen-poset", "--n", "12", "--out", str(tmp_path / "b.poset"))
+    assert default[1].replace("a.poset", "b.poset") == zero[1]
+    assert (tmp_path / "a.poset").read_bytes() == (tmp_path / "b.poset").read_bytes()
 
 
 def test_verify_trivial_and_small(capsys):

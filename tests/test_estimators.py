@@ -5,6 +5,8 @@ import pickle
 
 import pytest
 from explicit_distribution import ExplicitDistribution
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochenum.analysis import enumerate_distribution
 from stochenum.errors import EstimateOverflow
@@ -234,6 +236,25 @@ def test_run_many_thread_count_invariance():
 
     for n, p, seed in ((8, 0.2, 5), (40, 0.05, 3)):
         assert summary(n, p, seed, 1) == summary(n, p, seed, 2)
+
+
+# Each example starts a 2-process pool; past 64 runs both workers get a chunk.
+@settings(max_examples=8, deadline=None)
+@given(
+    n=st.integers(6, 14),
+    p=st.sampled_from((0.05, 0.2, 0.4)),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(("uniform", "f1", "f2", "f3")),
+    budget=st.integers(1, 4),
+    runs=st.integers(65, 200),
+)
+def test_run_many_thread_invariance_property(n, p, seed, kind, budget, runs):
+    def summary(threads):
+        tree = LEDecisionTree(random_poset(n, p, seed))
+        dist = ImportanceInduced(importance_function(tree, kind))
+        return run_many(tree, budget, dist, runs, seed, threads=threads)
+
+    assert summary(1) == summary(2)
 
 
 def test_fast_block_independent_of_block_order():

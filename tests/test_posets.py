@@ -354,6 +354,34 @@ def test_ideal_weight_is_subtree_count():
         assert w(child) == tree.completions(child[1])
 
 
+def leaf_count(tree, node):
+    """Leaves of the subtree under ``node``, by plain traversal."""
+    kids = tree.successors(node)
+    return sum(leaf_count(tree, kid) for kid in kids) if kids else 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    p=st.sampled_from((0.0, 0.15, 0.3, 0.6)),
+    seed=st.integers(0, 2**32 - 1),
+    picks=st.lists(st.integers(0, 7), max_size=8),
+)
+def test_completions_match_leaf_count(n, p, seed, picks):
+    tree = LEDecisionTree(random_poset(n, p, seed))
+    node = ((), 0)
+    path = [node]
+    for pick in picks:
+        kids = tree.successors(node)
+        if not kids:
+            break
+        node = kids[pick % len(kids)]
+        path.append(node)
+    # deepest first, so no answer comes from a memo the root filled
+    for node in reversed(path):
+        assert tree.completions(node[1]) == leaf_count(tree, node)
+
+
 @settings(max_examples=80, deadline=None)
 @given(n=st.integers(1, 40), p=st.sampled_from((0.0, 0.05, 0.2, 0.3, 0.5, 1.0)), seed=st.integers(0, 2**32 - 1))
 @example(n=9, p=0.3, seed=12)

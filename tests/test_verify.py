@@ -1,15 +1,19 @@
 """The check suite behind ``stochenum verify``: pinned output, and one
 exact analysis per weighted cell."""
 
+import gc
 import hashlib
+import weakref
 from collections import Counter
 
 import pytest
 
 from stochenum import verify
 from stochenum.cli import main
+from stochenum.analysis import recursive_variance
 from stochenum.estimators import ImportanceInduced
-from stochenum.tree import ExplicitTree
+from stochenum.posets import LEDecisionTree, importance_function, random_poset
+from stochenum.tree import ExplicitTree, fixture_example_importance, fixture_example_tree
 
 # Recorded before the per-cell sharing: stdout and the --out CSV of
 # `--seed 7 verify --max-n 5 --posets 16 --max-sequences 200`.
@@ -80,3 +84,42 @@ def test_unbiasedness_passes_on_a_zero_cost_successor_forest():
     assert res.passed and res.instances == 2
     with pytest.raises(ValueError, match="alpha undefined"):
         verify.check_alpha_suite([("zero-cost", t, [("uniform", weight)])], (1,), 1000)
+
+
+def test_cell_memo_holds_no_tree_and_checks_weight_identity():
+    tree = LEDecisionTree(random_poset(5, 0.2, 1))
+    weight = importance_function(tree, "f2")  # the weight holds its tree
+    assert verify.check_variance_forms([("p", tree, [("f2", weight)])], (1, 2), 2000).passed
+    # an entry whose weight reference resolves elsewhere is recomputed,
+    # as when a new weight reuses a freed weight's id
+    key = ("variance", 2, 2000, id(weight))
+    verify._CELLS[tree][key] = (lambda: None, "stale")
+    assert verify._analysis("variance", tree, 2, weight, 2000) == recursive_variance(tree, 2, weight)
+    freed = weakref.ref(tree)
+    del tree, weight
+    gc.collect()
+    assert freed() is None
+
+
+class _SlottedWeight:
+    __slots__ = ("table",)
+
+    def __init__(self, table):
+        self.table = table
+
+    def __call__(self, node):
+        return self.table(node)
+
+
+def test_cell_memo_takes_unhashable_oracles_and_unreferenceable_weights():
+    class Unhashable(ExplicitTree):
+        __hash__ = None
+
+    fixture = fixture_example_tree()
+    t = Unhashable({k: fixture.successors(k) for k in "abcdefghijklmn"}, roots=("a",))
+    weight = _SlottedWeight(fixture_example_importance())
+    with pytest.raises(TypeError):
+        weakref.ref(weight)
+    for tree in (fixture, t):
+        res = verify.check_variance_forms([("fixture", tree, [("leafcount", weight)])], (1, 2), 200_000)
+        assert res.passed and res.instances == 2
