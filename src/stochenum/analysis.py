@@ -7,11 +7,17 @@ recursive closed forms for variance and squared coefficient of
 variation, and the alpha diagnostic that measures how far a weight
 function is from the exact subtree-cost function.
 
-Computations run in exact rational arithmetic by default (every float
-input is treated as the rational it denotes), so identities hold with
-zero tolerance; pass exact=False to trade that for speed on larger
-instance sets.  All enumerations count against explicit caps and raise
-CapExceeded rather than truncating.
+Every result is exact: each float input (cost, weight) is the rational
+it denotes, so identities hold with zero tolerance.  The arithmetic runs
+on plain integers: a successor union's weights, and its subtree costs,
+go on one common integer scale (``estimators.integer_scale``), the
+enumeration carries probability, D product, running total and alpha
+down each path as unreduced numerator/denominator pairs, and the
+recursions sum a hypernode's candidates over one common denominator.
+A ``Fraction`` is built only where a value leaves that loop: per
+outcome, per memo entry, and for the returned moments and maxima.  All
+enumerations count against explicit caps and raise CapExceeded rather
+than truncating.
 
 The recursions (sequence count, variance, CV^2) memoize per hypernode.
 When the oracle defines ``state`` (see ``TreeOracle``) and the weight, if
@@ -19,9 +25,8 @@ any, has ``child_values``, the memo key is the multiset of member states,
 so hypernodes reached by different paths are evaluated once.  Having
 ``child_values`` marks a weight as a function of the node's state, the
 contract the mask walk's expansion cache relies on too; any other weight
-may read the whole path, so its memo stays keyed on the members.  Exact
-results do not change; in float mode a merged hypernode may sum its
-terms in another order and so round differently.
+may read the whole path, so its memo stays keyed on the members.
+Results do not depend on the key.
 """
 
 from __future__ import annotations
@@ -34,8 +39,8 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import CapExceeded
-from .estimators import HypernodeDistribution, ImportanceInduced
-from .sampling import NonpositiveWeight, WeightFunction
+from .estimators import HypernodeDistribution, ImportanceInduced, integer_scale, integer_weights
+from .sampling import WeightFunction
 from .tree import Hypernode, TreeOracle, hypernode_successors, subtree_cost_function
 
 DEFAULT_SEQUENCE_CAP = 1_000_000
@@ -52,51 +57,45 @@ class AlphaUndefined(ValueError):
 
 
 class _Expansion(NamedTuple):
-    """Successor union S, min(budget, |S|), C(|S|-1, take-1), and the
-    successor weights with r(S) and subtree costs with c(S) (or None)."""
+    """Successor union S, min(budget, |S|), C(|S|-1, take-1), and, when
+    asked for, the successor weights as integers on one scale with r(S)
+    their sum, and the subtree costs as numerators over ``c_den`` with
+    c(S) the numerator of their sum."""
 
     succ: tuple
     take: int
     binom: int
     w_of: dict | None
-    r_all: object
+    r_all: int | None
     c_of: dict | None
-    c_all: object
+    c_all: int | None
+    c_den: int | None
 
 
-def _expand(t: TreeOracle, nodes, budget: int, wvalue=None, subcost=None) -> _Expansion | None:
+def _expand(t: TreeOracle, nodes, budget: int, weight=None, subcost=None) -> _Expansion | None:
     """Expansion of the hypernode ``nodes``; None when it is terminal."""
     succ = hypernode_successors(nodes, t)
     if not succ:
         return None
     take = min(budget, len(succ))
-    w_of = r_all = c_of = c_all = None
-    if wvalue is not None:
-        w_of = {x: wvalue(x) for x in succ}
+    w_of = r_all = c_of = c_all = c_den = None
+    if weight is not None:
+        w_of = dict(zip(succ, integer_weights(weight, succ)))
         r_all = sum(w_of.values())
     if subcost is not None:
-        c_of = {x: subcost(x) for x in succ}
-        c_all = sum(c_of.values())
-    return _Expansion(succ, take, comb(len(succ) - 1, take - 1), w_of, r_all, c_of, c_all)
+        costs, c_den = integer_scale([subcost(x) for x in succ])
+        c_of = dict(zip(succ, costs))
+        c_all = sum(costs)
+    return _Expansion(succ, take, comb(len(succ) - 1, take - 1), w_of, r_all, c_of, c_all, c_den)
 
 
-def _domain(t: TreeOracle, weight: WeightFunction | None, exact: bool):
-    """(conv, weight value, subtree cost) in the exact or float domain.
-
-    The weight value raises NonpositiveWeight on a weight <= 0 (NaN
-    included) before conversion, reporting the float the draw sees.
-    """
-    conv = Fraction if exact else float
-    if weight is None:
-        return conv, None, None
-
-    def wvalue(x):
-        w = float(weight(x))
-        if not w > 0:
-            raise NonpositiveWeight(x, w)
-        return conv(w)
-
-    return conv, wvalue, subtree_cost_function(t, conv)
+def _add(sn: int, sd: int, n: int, d: int) -> tuple[int, int]:
+    """sn/sd + n/d in lowest terms, for positive denominators."""
+    g = math.gcd(sd, d)
+    num = sn * (d // g) + n * (sd // g)
+    den = sd // g * d
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def _memo_key(t: TreeOracle, weight: WeightFunction | None):
@@ -110,6 +109,24 @@ def _memo_key(t: TreeOracle, weight: WeightFunction | None):
     if state is None or (weight is not None and not hasattr(weight, "child_values")):
         return None
     return lambda nodes: tuple(sorted(map(state, nodes)))
+
+
+def _moments(pairs) -> tuple[Fraction, Fraction, Fraction]:
+    """sum(p), mean = sum(p * x) and sum(p * (x - mean)^2) over (p, x)
+    pairs of Fractions.
+
+    Sums p, p*x and p*x^2 on integers; the variance is then the same
+    rational as sum(p*x^2) - 2 mean^2 + mean^2 sum(p).
+    """
+    s0 = s1 = s2 = (0, 1)
+    for p, x in pairs:
+        n, d = p.numerator, p.denominator
+        xn, xd = x.numerator, x.denominator
+        s0 = _add(*s0, n, d)
+        s1 = _add(*s1, n * xn, d * xd)
+        s2 = _add(*s2, n * xn * xn, d * xd * xd)
+    total, mean, second = (Fraction(*s) for s in (s0, s1, s2))
+    return total, mean, second - 2 * mean * mean + mean * mean * total
 
 
 @dataclass(frozen=True)
@@ -177,7 +194,6 @@ def enumerate_distribution(
     budget: int,
     dist: HypernodeDistribution,
     max_sequences: int = DEFAULT_SEQUENCE_CAP,
-    exact: bool = True,
     weight: WeightFunction | None = None,
     keep_sequences: bool = False,
 ) -> OutcomeDistribution:
@@ -191,71 +207,76 @@ def enumerate_distribution(
     subtree cost.  The empty product is 1, and an exact subtree-cost
     weight gives 1 at every step.  The per-depth maxima of the single-step
     factors go to ``level_max``.
+
+    ``dist.support`` may yield any rational probability (anything with
+    ``numerator`` and ``denominator``).
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     root = t.root_hypernode
-    conv, wvalue, subcost = _domain(t, weight, exact)
+    subcost = subtree_cost_function(t, Fraction) if weight is not None else None
     size0 = len(root)
     outcomes = []
-    level_max = []
+    level_max = []  # per depth, the largest factor as (numerator, positive denominator)
     count = 0
 
-    def rec(nodes, depth, prob, d_product, total, alpha_acc, seq):
+    # Unreduced integer pairs down the recursion: probability pn/pd, D
+    # product dn/dd, alpha an/ad, and the running total tn / (dd * tq),
+    # whose denominator keeps dd's so that it grows by one level's factors
+    # per level.
+    def rec(nodes, depth, pn, pd, dn, dd, tn, tq, an, ad, seq):
         nonlocal count
-        exp = _expand(t, nodes, budget, wvalue, subcost)
+        exp = _expand(t, nodes, budget, weight, subcost)
         if exp is None:
             count += 1
             if count > max_sequences:
                 raise CapExceeded(f"more than {max_sequences} hypernode sequences")
-            outcomes.append(Outcome(prob, size0 * total, alpha_acc, seq))
+            outcomes.append(Outcome(Fraction(pn, pd), Fraction(size0 * tn, dd * tq), Fraction(an, ad), seq))
             return
         if weight is not None and exp.c_all == 0:
             raise AlphaUndefined(f"successor forest of {nodes!r} has zero total cost; alpha undefined")
-        size = len(nodes)
+        costs, k_den = integer_scale([t.cost(x) for x in exp.succ])
+        k_of = dict(zip(exp.succ, costs))
+        size_binom = len(nodes) * exp.binom
         for wnodes, p in dist.support(exp.succ, budget):
-            p = conv(p)
-            d_k = conv(len(wnodes)) / (size * exp.binom * p)
-            d2 = d_product * d_k
-            lvl = sum(conv(t.cost(x)) for x in wnodes) / len(wnodes)
-            alpha2 = alpha_acc
+            m = len(wnodes)
+            # d_k = m / (|v| * C(|S|-1, m-1) * p)
+            f = size_binom * p.numerator
+            dn2 = dn * m * p.denominator
+            k_sel = sum(k_of[x] for x in wnodes)
+            if k_sel:  # total += (k_sel / (k_den * m)) * D
+                tn2 = tn * f * k_den * m + k_sel * dn2 * tq
+                tq2 = tq * k_den * m
+            else:
+                tn2, tq2 = tn * f, tq
+            an2, ad2 = an, ad
             if weight is not None:
-                r_ratio = exp.r_all / sum(exp.w_of[x] for x in wnodes)
-                c_ratio = sum(exp.c_of[x] for x in wnodes) / exp.c_all
-                # not alpha_acc * factor: float mode would round differently
-                alpha2 = alpha_acc * r_ratio * c_ratio
-                factor = r_ratio * c_ratio
+                # (r(S)/r(w)) * (c(w)/c(S))
+                fn = exp.r_all * sum(exp.c_of[x] for x in wnodes)
+                fd = sum(exp.w_of[x] for x in wnodes) * exp.c_all
+                an2, ad2 = an * fn, ad * fd
+                if fd < 0:
+                    fn, fd = -fn, -fd
                 if depth == len(level_max):
-                    level_max.append(factor)
-                elif factor > level_max[depth]:
-                    level_max[depth] = factor
+                    level_max.append((fn, fd))
+                elif fn * level_max[depth][1] > level_max[depth][0] * fd:
+                    level_max[depth] = (fn, fd)
             rec(
-                wnodes,
-                depth + 1,
-                prob * p,
-                d2,
-                total + lvl * d2,
-                alpha2,
+                wnodes, depth + 1, pn * p.numerator, pd * p.denominator, dn2, dd * f, tn2, tq2, an2, ad2,
                 seq + (Hypernode(wnodes),) if seq is not None else None,
             )
 
-    one = conv(1)
-    lvl0 = sum(conv(t.cost(v)) for v in root.nodes) / size0
+    costs, k_den = integer_scale([t.cost(v) for v in root.nodes])
     try:
-        rec(root.nodes, 0, one, one, lvl0, one, (root,) if keep_sequences else None)
+        rec(root.nodes, 0, 1, 1, 1, 1, sum(costs), k_den * size0, 1, 1, (root,) if keep_sequences else None)
     finally:
         del rec  # rec refers to itself: break that cycle so the tree and memos free now
 
-    if exact:
-        total_p = sum(o.probability for o in outcomes)
-        mean = sum(o.probability * o.estimate for o in outcomes)
-        variance = sum(o.probability * (o.estimate - mean) ** 2 for o in outcomes)
-    else:
-        total_p = math.fsum(o.probability for o in outcomes)
-        mean = math.fsum(o.probability * o.estimate for o in outcomes)
-        variance = math.fsum(o.probability * (o.estimate - mean) ** 2 for o in outcomes)
+    total_p, mean, variance = _moments((o.probability, o.estimate) for o in outcomes)
     cv2 = variance / (mean * mean) if mean != 0 else None
-    return OutcomeDistribution(tuple(outcomes), mean, variance, cv2, total_p, tuple(level_max))
+    return OutcomeDistribution(
+        tuple(outcomes), mean, variance, cv2, total_p, tuple(Fraction(n, d) for n, d in level_max),
+    )
 
 
 @dataclass(frozen=True)
@@ -269,19 +290,11 @@ class AlphaStats:
     sequences: int
 
     @classmethod
-    def from_distribution(cls, od: OutcomeDistribution, exact: bool = True) -> "AlphaStats":
+    def from_distribution(cls, od: OutcomeDistribution) -> "AlphaStats":
         """Alpha moments of an enumeration made with a weight function."""
-        if exact:
-            mean = sum(o.probability * o.alpha for o in od.outcomes)
-            var = sum(o.probability * (o.alpha - mean) ** 2 for o in od.outcomes)
-        else:
-            mean = math.fsum(o.probability * o.alpha for o in od.outcomes)
-            var = math.fsum(o.probability * (o.alpha - mean) ** 2 for o in od.outcomes)
+        _, mean, var = _moments((o.probability, o.alpha) for o in od.outcomes)
         max_alpha = max(o.alpha for o in od.outcomes)
-        product = Fraction(1) if exact else 1.0
-        for factor in od.level_max:
-            product *= factor
-        return cls(mean, var, max_alpha, product, len(od.outcomes))
+        return cls(mean, var, max_alpha, math.prod(od.level_max, start=Fraction(1)), len(od.outcomes))
 
 
 def alpha_stats(
@@ -289,7 +302,6 @@ def alpha_stats(
     budget: int,
     weight: WeightFunction,
     max_sequences: int = DEFAULT_SEQUENCE_CAP,
-    exact: bool = True,
 ) -> AlphaStats:
     """Full enumeration of alpha over the weighted walk.
 
@@ -298,13 +310,11 @@ def alpha_stats(
     built from per-level maxima of single-step factors over every
     reachable hypernode.
     """
-    od = enumerate_distribution(
-        t, budget, ImportanceInduced(weight), max_sequences=max_sequences, exact=exact, weight=weight,
-    )
-    return AlphaStats.from_distribution(od, exact)
+    od = enumerate_distribution(t, budget, ImportanceInduced(weight), max_sequences=max_sequences, weight=weight)
+    return AlphaStats.from_distribution(od)
 
 
-def _hypernode_recursion(t, budget, max_states, key, step, wvalue=None, subcost=None):
+def _hypernode_recursion(t, budget, max_states, key, step, weight=None, subcost=None):
     """Memoized recursion over the hypernodes reachable from the root.
 
     ``step(nodes, exp, value_of)`` gives a hypernode's value from its
@@ -323,7 +333,7 @@ def _hypernode_recursion(t, budget, max_states, key, step, wvalue=None, subcost=
         visited += 1
         if visited > max_states:
             raise CapExceeded(f"more than {max_states} hypernode states")
-        memo[k] = step(nodes, _expand(t, nodes, budget, wvalue, subcost), value_of)
+        memo[k] = step(nodes, _expand(t, nodes, budget, weight, subcost), value_of)
         return memo[k]
 
     try:
@@ -337,8 +347,7 @@ def recursive_variance(
     budget: int,
     weight: WeightFunction,
     max_states: int = DEFAULT_STATE_CAP,
-    exact: bool = True,
-):
+) -> Fraction:
     """Variance of the weighted estimate by the hyperchild recursion.
 
     Evaluates, per hypernode v with successor set S and candidates w,
@@ -351,19 +360,25 @@ def recursive_variance(
     closed-form twin of the enumeration variance and the pair is
     asserted equal in the test suite.
     """
-    conv, wvalue, subcost = _domain(t, weight, exact)
 
     def step(nodes, exp, var_of):
         if exp is None:
-            return conv(0)
-        acc = conv(0)
+            return Fraction(0)
+        c_den2 = exp.c_den * exp.c_den
+        num, den = 0, 1
         for sub in itertools.combinations(exp.succ, exp.take):
-            r_sel = sum(exp.w_of[x] for x in sub)
+            var = var_of(tuple(sorted(sub)))
             c_sel = sum(exp.c_of[x] for x in sub)
-            acc += (exp.r_all / r_sel) * (var_of(tuple(sorted(sub))) + c_sel * c_sel) / exp.binom
-        return acc - exp.c_all * exp.c_all
+            # += (Var(w) + Cost(T_w)^2) / r(w), times c_den^2
+            num, den = _add(
+                num, den,
+                var.numerator * c_den2 + c_sel * c_sel * var.denominator,
+                sum(exp.w_of[x] for x in sub) * var.denominator,
+            )
+        return Fraction(exp.r_all * num - exp.c_all * exp.c_all * exp.binom * den, exp.binom * den * c_den2)
 
-    return _hypernode_recursion(t, budget, max_states, _memo_key(t, weight), step, wvalue, subcost)
+    subcost = subtree_cost_function(t, Fraction)
+    return _hypernode_recursion(t, budget, max_states, _memo_key(t, weight), step, weight, subcost)
 
 
 def recursive_cv2(
@@ -371,8 +386,7 @@ def recursive_cv2(
     budget: int,
     weight: WeightFunction,
     max_states: int = DEFAULT_STATE_CAP,
-    exact: bool = True,
-):
+) -> Fraction:
     """Squared coefficient of variation by its own hyperchild recursion.
 
     Same shape as ``recursive_variance`` but normalized by subtree costs
@@ -380,23 +394,29 @@ def recursive_cv2(
     a zero-cost forest, where the ratio is undefined, and on a
     nonpositive weight.
     """
-    conv, wvalue, subcost = _domain(t, weight, exact)
+    subcost = subtree_cost_function(t, Fraction)
 
     def step(nodes, exp, cv2_of):
         cost_v = sum(subcost(x) for x in nodes)
         if cost_v == 0:
             raise ValueError(f"forest at {nodes!r} has zero total cost; CV undefined")
         if exp is None:
-            return conv(0)
-        acc = conv(0)
+            return Fraction(0)
+        c_den2 = exp.c_den * exp.c_den
+        num, den = 0, 1
         for sub in itertools.combinations(exp.succ, exp.take):
-            r_sel = sum(exp.w_of[x] for x in sub)
-            ratio = sum(exp.c_of[x] for x in sub) / cost_v
-            acc += (exp.r_all / r_sel) * ratio * ratio * (cv2_of(tuple(sorted(sub))) + 1) / exp.binom
-        ratio_s = exp.c_all / cost_v
-        return acc - ratio_s * ratio_s
+            cv2 = cv2_of(tuple(sorted(sub)))
+            c_sel = sum(exp.c_of[x] for x in sub)
+            # += Cost(T_w)^2 * (CV2(w) + 1) / r(w), times c_den^2
+            num, den = _add(
+                num, den,
+                c_sel * c_sel * (cv2.numerator + cv2.denominator),
+                sum(exp.w_of[x] for x in sub) * cv2.denominator,
+            )
+        unnormalized = Fraction(exp.r_all * num - exp.c_all * exp.c_all * exp.binom * den, exp.binom * den * c_den2)
+        return unnormalized / (cost_v * cost_v)
 
-    return _hypernode_recursion(t, budget, max_states, _memo_key(t, weight), step, wvalue, subcost)
+    return _hypernode_recursion(t, budget, max_states, _memo_key(t, weight), step, weight, subcost)
 
 
 def cost_split_identity(t: TreeOracle, h: Hypernode, budget: int):
@@ -410,10 +430,8 @@ def cost_split_identity(t: TreeOracle, h: Hypernode, budget: int):
     exp = _expand(t, h.nodes, budget, subcost=subtree_cost_function(t, Fraction))
     if exp is None:
         return Fraction(0), Fraction(0)
-    rhs = Fraction(0)
-    for sub in itertools.combinations(exp.succ, exp.take):
-        rhs += sum(exp.c_of[x] for x in sub) / Fraction(exp.binom)
-    return sum(exp.c_of.values(), Fraction(0)), rhs
+    rhs = sum(sum(exp.c_of[x] for x in sub) for sub in itertools.combinations(exp.succ, exp.take))
+    return Fraction(exp.c_all, exp.c_den), Fraction(rhs, exp.binom * exp.c_den)
 
 
 def bounds_csv_row(instance: str, budget: int, importance: str, variance, cv2, stats: AlphaStats) -> list[str]:

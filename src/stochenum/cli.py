@@ -189,12 +189,14 @@ def cmd_exact(args) -> int:
     if poset is None:
         raise ValueError("exact counting needs a poset instance")
     counts = {}
+    # each count is printed as soon as it is known, so a tree traversal
+    # that passes its cap still leaves the DP count on stdout
     if args.method in ("dp", "both"):
         counts["dp"] = count_linear_extensions(poset)
+        print(f"dp: {counts['dp']}", flush=True)
     if args.method in ("tree", "both"):
         counts["tree"] = int(exact_forest_cost(LEDecisionTree(poset)))
-    for method, value in counts.items():
-        print(f"{method}: {value}")
+        print(f"tree: {counts['tree']}")
     if args.method == "both" and counts["dp"] != counts["tree"]:
         print(f"MISMATCH on {label}: dp={counts['dp']} tree={counts['tree']}", file=sys.stderr)
         return 1

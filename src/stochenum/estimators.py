@@ -48,6 +48,35 @@ class Draw(NamedTuple):
     d_multiplier: float
 
 
+def integer_scale(values) -> tuple[list[int], int]:
+    """Exact numbers as integer numerators over one common denominator.
+
+    Each value (int, float or Fraction) is read as the rational it denotes
+    through ``as_integer_ratio``; floats, and exact sums of floats, have
+    power-of-two denominators, so their common denominator is the largest.
+    Returns (numerators, denominator).
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
+
+
+def integer_weights(weight: WeightFunction, succ) -> list[int]:
+    """Weights of the successors ``succ`` as integers on one common scale.
+
+    Each weight is canonicalized through float() and must be positive
+    (NonpositiveWeight on <= 0 or NaN); the scale cancels in every ratio
+    of weight sums, which are therefore exact.
+    """
+    values = []
+    for x in succ:
+        w = float(weight(x))
+        if not w > 0:
+            raise NonpositiveWeight(x, w)
+        values.append(w)
+    return integer_scale(values)[0]
+
+
 class HypernodeDistribution:
     """How the next hypernode is chosen among the candidates.
 
@@ -104,18 +133,12 @@ class ImportanceInduced(HypernodeDistribution):
         return Draw(tuple(succ[i] for i in sel), r_all / r_sel)
 
     def support(self, succ, budget):
-        weight = self.weight
-        weights = []
-        for x in succ:
-            w = float(weight(x))
-            if not w > 0:
-                raise NonpositiveWeight(x, w)
-            weights.append(Fraction(w))
+        weights = integer_weights(self.weight, succ)
         take = min(budget, len(succ))
         denom = sum(weights) * comb(len(succ) - 1, take - 1)
         for idxs in itertools.combinations(range(len(succ)), take):
             nodes = tuple(sorted(succ[i] for i in idxs))
-            yield nodes, sum(weights[i] for i in idxs) / denom
+            yield nodes, Fraction(sum(weights[i] for i in idxs), denom)
 
 
 def ideal_cost_distribution(t: TreeOracle) -> ImportanceInduced:

@@ -17,8 +17,8 @@ import random
 from typing import Callable, Sequence
 
 # A weight function maps node references to strictly positive numbers
-# (int, float or Fraction all work; analysis code treats the returned
-# value as an exact rational).
+# (int, float or Fraction all work; analysis code reads float(value) as
+# the exact rational that float denotes).
 WeightFunction = Callable
 
 

@@ -1,0 +1,127 @@
+"""Reference exact analysis in plain ``Fraction`` arithmetic.
+
+The textbook forms of what ``stochenum.analysis`` computes on integers:
+the depth-first outcome enumeration with its moments and per-depth alpha
+maxima, and the variance and CV^2 hyperchild recursions.  Every value is
+a ``Fraction`` and every step is the formula as written, with a memo
+keyed on the member tuple alone.  Slow, and only for tests, which
+require the package's results to equal these exactly.
+"""
+
+import itertools
+from fractions import Fraction
+from math import comb
+
+from stochenum.sampling import NonpositiveWeight
+from stochenum.tree import hypernode_successors, subtree_cost_function
+
+
+def _weights(weight, succ) -> dict:
+    out = {}
+    for x in succ:
+        w = float(weight(x))
+        if not w > 0:
+            raise NonpositiveWeight(x, w)
+        out[x] = Fraction(w)
+    return out
+
+
+def reference_enumeration(t, budget, dist, weight=None):
+    """Outcomes as (probability, estimate, alpha) in depth-first order,
+    then mean, variance, total probability and the per-depth alpha maxima.
+
+    A zero-cost successor forest under a weight raises ZeroDivisionError.
+    """
+    subcost = subtree_cost_function(t, Fraction)
+    root = t.root_hypernode
+    size0 = len(root)
+    outcomes = []
+    level_max = []
+
+    def rec(nodes, depth, prob, d_product, total, alpha):
+        succ = hypernode_successors(nodes, t)
+        if not succ:
+            outcomes.append((prob, size0 * total, alpha))
+            return
+        binom = comb(len(succ) - 1, min(budget, len(succ)) - 1)
+        if weight is not None:
+            w_of = _weights(weight, succ)
+            r_all = sum(w_of.values())
+            c_all = sum(subcost(x) for x in succ)
+        for wnodes, p in dist.support(succ, budget):
+            p = Fraction(p)
+            d_product2 = d_product * Fraction(len(wnodes)) / (len(nodes) * binom * p)
+            lvl = sum(Fraction(t.cost(x)) for x in wnodes) / len(wnodes)
+            factor = Fraction(1)
+            if weight is not None:
+                factor = (r_all / sum(w_of[x] for x in wnodes)) * (sum(subcost(x) for x in wnodes) / c_all)
+                if depth == len(level_max):
+                    level_max.append(factor)
+                else:
+                    level_max[depth] = max(level_max[depth], factor)
+            rec(wnodes, depth + 1, prob * p, d_product2, total + lvl * d_product2, alpha * factor)
+
+    lvl0 = sum(Fraction(t.cost(v)) for v in root.nodes) / size0
+    rec(root.nodes, 0, Fraction(1), Fraction(1), lvl0, Fraction(1))
+    total_p = sum(p for p, _, _ in outcomes)
+    mean = sum(p * e for p, e, _ in outcomes)
+    variance = sum(p * (e - mean) ** 2 for p, e, _ in outcomes)
+    return outcomes, mean, variance, total_p, level_max
+
+
+def _recursion(t, budget, weight, step):
+    memo = {}
+
+    def value_of(nodes):
+        if nodes not in memo:
+            succ = hypernode_successors(nodes, t)
+            w_of = _weights(weight, succ)
+            memo[nodes] = step(nodes, succ, w_of, value_of)
+        return memo[nodes]
+
+    return value_of(t.root_hypernode.nodes)
+
+
+def _candidates(succ, budget):
+    take = min(budget, len(succ))
+    return itertools.combinations(succ, take), comb(len(succ) - 1, take - 1)
+
+
+def reference_variance(t, budget, weight) -> Fraction:
+    """Var(v) = sum_w (r(S)/r(w)) (Var(w) + Cost(T_w)^2) / C(|S|-1, |w|-1) - Cost(T_S)^2."""
+    subcost = subtree_cost_function(t, Fraction)
+
+    def step(nodes, succ, w_of, var_of):
+        if not succ:
+            return Fraction(0)
+        r_all = sum(w_of.values())
+        acc = Fraction(0)
+        subs, binom = _candidates(succ, budget)
+        for sub in subs:
+            c_sel = sum(subcost(x) for x in sub)
+            acc += (r_all / sum(w_of[x] for x in sub)) * (var_of(tuple(sorted(sub))) + c_sel * c_sel) / binom
+        return acc - sum(subcost(x) for x in succ) ** 2
+
+    return _recursion(t, budget, weight, step)
+
+
+def reference_cv2(t, budget, weight) -> Fraction:
+    """The same recursion normalized by Cost(T_v) level by level; a
+    zero-cost forest raises ValueError."""
+    subcost = subtree_cost_function(t, Fraction)
+
+    def step(nodes, succ, w_of, cv2_of):
+        cost_v = sum(subcost(x) for x in nodes)
+        if cost_v == 0:
+            raise ValueError(f"forest at {nodes!r} has zero total cost")
+        if not succ:
+            return Fraction(0)
+        r_all = sum(w_of.values())
+        acc = Fraction(0)
+        subs, binom = _candidates(succ, budget)
+        for sub in subs:
+            ratio = sum(subcost(x) for x in sub) / cost_v
+            acc += (r_all / sum(w_of[x] for x in sub)) * ratio * ratio * (cv2_of(tuple(sorted(sub))) + 1) / binom
+        return acc - (sum(subcost(x) for x in succ) / cost_v) ** 2
+
+    return _recursion(t, budget, weight, step)

@@ -3,11 +3,11 @@
 Criteria, tolerances and runtime limits are pinned here and nowhere else:
 
   1. golden fixture replays and counts, exact, < 1 s
-  2. enumerated expectation == exact cost within 1e-9 relative over the
-     fixture and 200 seeded enumerable posets (n <= 6, budgets 1..3,
-     four weight kinds), < 2 min
-  3. recursive variance / CV^2 match enumeration within 1e-9 on the
-     same instance set
+  2. enumerated expectation == exact cost, exactly, over the fixture and
+     200 seeded enumerable posets (n <= 6, budgets 1..3, four weight
+     kinds), < 2 min
+  3. recursive variance / CV^2 match enumeration exactly on the same
+     instance set
   4. alpha suite: expected alpha 1 within 1e-12, the bound chain with
      zero tolerance on direction, cost-splitting identity exact on all
      reachable hypernodes
@@ -72,23 +72,20 @@ def small_instances():
 
 @pytest.fixture(scope="module")
 def small_bundles(small_instances):
-    """Float-mode enumeration plus both recursions for every instance cell."""
+    """Exact enumeration plus both recursions for every instance cell."""
     posets, filter_time = small_instances
     t0 = time.perf_counter()
     records = []
     for idx, poset in enumerate(posets):
         tree = LEDecisionTree(poset)
-        exact = float(count_linear_extensions(poset))
+        count = count_linear_extensions(poset)
         for budget in (1, 2, 3):
             for kind in POSET_WEIGHTS:
                 weight = importance_function(tree, kind)
-                od = enumerate_distribution(
-                    tree, budget, ImportanceInduced(weight),
-                    exact=False, max_sequences=20_000,
-                )
-                var_rec = recursive_variance(tree, budget, weight, exact=False)
-                cv2_rec = recursive_cv2(tree, budget, weight, exact=False)
-                records.append((idx, poset.n, budget, kind, exact, od, var_rec, cv2_rec))
+                od = enumerate_distribution(tree, budget, ImportanceInduced(weight), max_sequences=20_000)
+                var_rec = recursive_variance(tree, budget, weight)
+                cv2_rec = recursive_cv2(tree, budget, weight)
+                records.append((idx, poset.n, budget, kind, count, od, var_rec, cv2_rec))
     return records, filter_time + (time.perf_counter() - t0)
 
 
@@ -112,36 +109,26 @@ def test_criterion_2_deterministic_unbiasedness(small_bundles):
             ImportanceInduced(fixture_example_importance()),
             ideal_cost_distribution(fixture),
         ):
-            od = enumerate_distribution(fixture, budget, dist, exact=False)
-            assert od.mean == pytest.approx(14.0, rel=1e-9)
+            od = enumerate_distribution(fixture, budget, dist)
+            assert od.mean == 14
             fixture_checked += 1
 
     assert len(records) == 200 * 3 * 4
-    worst = 0.0
-    for idx, n, budget, kind, exact, od, _, _ in records:
-        err = abs(od.mean - exact) / exact
-        worst = max(worst, err)
-        assert err <= 1e-9, f"poset {idx} (n={n}) B={budget} {kind}: mean {od.mean} vs {exact}"
-        assert abs(od.total_probability - 1.0) <= 1e-9
+    for idx, n, budget, kind, count, od, _, _ in records:
+        assert od.mean == count, f"poset {idx} (n={n}) B={budget} {kind}: mean {od.mean} vs {count}"
+        assert od.total_probability == 1
     elapsed += time.perf_counter() - t0
     assert elapsed < 120.0
-    report(2, f"{len(records)} poset cells + {fixture_checked} fixture cells, worst rel err {worst:.2e}, {elapsed:.0f}s")
+    report(2, f"{len(records)} poset cells + {fixture_checked} fixture cells, all exact, {elapsed:.0f}s")
 
 
 def test_criterion_3_variance_formula_equivalence(small_bundles):
     records, elapsed = small_bundles
-    worst = 0.0
-    for idx, n, budget, kind, exact, od, var_rec, cv2_rec in records:
-        scale = max(1.0, abs(od.variance))
-        err = abs(var_rec - od.variance) / scale
-        worst = max(worst, err)
-        assert err <= 1e-9, f"poset {idx} (n={n}) B={budget} {kind}: {var_rec} vs {od.variance}"
-        cv2_direct = od.variance / (exact * exact)
-        err = abs(cv2_rec - cv2_direct) / max(1.0, abs(cv2_direct))
-        worst = max(worst, err)
-        assert err <= 1e-9
+    for idx, n, budget, kind, count, od, var_rec, cv2_rec in records:
+        assert var_rec == od.variance, f"poset {idx} (n={n}) B={budget} {kind}: {var_rec} vs {od.variance}"
+        assert cv2_rec == od.variance / count**2, f"poset {idx} (n={n}) B={budget} {kind}: cv2 {cv2_rec}"
     assert elapsed < 120.0
-    report(3, f"{len(records)} cells, worst rel err {worst:.2e}")
+    report(3, f"{len(records)} cells, all exact")
 
 
 def _reachable_hypernodes(tree, budget, cap=4000):

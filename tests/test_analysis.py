@@ -5,10 +5,13 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from exact_reference import reference_cv2, reference_enumeration, reference_variance
+from explicit_distribution import ExplicitDistribution
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochenum.analysis import (
+    AlphaUndefined,
     alpha_stats,
     cost_split_identity,
     count_sequences,
@@ -30,7 +33,7 @@ from stochenum.tree import (
     hypernode_successors,
     subtree_cost_function,
 )
-from stochenum.verify import random_tree
+from stochenum.verify import DEFAULT_SEED, enumerable_posets, random_tree
 
 UNIFORM = lambda node: 1.0
 
@@ -188,14 +191,13 @@ def test_alpha_bound_chain_fixture():
         assert st.variance + st.mean ** 2 <= st.max_value * st.mean
 
 
-def reference_level_max_product(t, budget, weight, exact=True):
+def reference_level_max_product(t, budget, weight):
     """The per-level alpha bound by a breadth-first pass over every
     reachable hypernode: each depth's largest single-step factor
     (r(S)/r(w)) * (c(w)/c(S)), multiplied over the depths."""
-    conv = Fraction if exact else float
-    wvalue = lambda x: conv(float(weight(x)))
-    subcost = subtree_cost_function(t, conv)
-    product = conv(1)
+    wvalue = lambda x: Fraction(float(weight(x)))
+    subcost = subtree_cost_function(t, Fraction)
+    product = Fraction(1)
     level = {t.root_hypernode.nodes}
     while level:
         nxt = set()
@@ -225,13 +227,12 @@ def test_level_max_product_matches_breadth_first_reference():
     checked = 0
     for t, w in cells:
         for budget in (1, 2, 3):
-            for exact in (True, False):
-                try:
-                    stats = alpha_stats(t, budget, w, exact=exact)
-                except ValueError:  # a zero-cost successor forest leaves alpha undefined
-                    continue
-                assert stats.level_max_product == reference_level_max_product(t, budget, w, exact)
-                checked += 1
+            try:
+                stats = alpha_stats(t, budget, w)
+            except ValueError:  # a zero-cost successor forest leaves alpha undefined
+                continue
+            assert stats.level_max_product == reference_level_max_product(t, budget, w)
+            checked += 1
     assert checked >= 60
 
 
@@ -300,17 +301,6 @@ def test_cost_split_identity_with_thirds():
                      costs={"r": 1.0, "a": 1.0, "b": 2.0, "c": 0.5, "d": 3.0})
     lhs, rhs = cost_split_identity(t, Hypernode(("r",)), 2)
     assert lhs == rhs == Fraction(13, 2)
-
-
-def test_float_mode_tracks_exact_mode():
-    t = fixture_example_tree()
-    w = fixture_example_importance()
-    od_exact = enumerate_distribution(t, 2, ImportanceInduced(w))
-    od_float = enumerate_distribution(t, 2, ImportanceInduced(w), exact=False)
-    assert od_float.mean == pytest.approx(float(od_exact.mean), rel=1e-12)
-    assert od_float.variance == pytest.approx(float(od_exact.variance), rel=1e-9)
-    v = recursive_variance(t, 2, w, exact=False)
-    assert v == pytest.approx(float(od_exact.variance), rel=1e-12)
 
 
 class _Stateless(TreeOracle):
@@ -429,3 +419,96 @@ def test_exact_computations_leave_no_cyclic_garbage():
             assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _assert_enumeration_matches_reference(t, budget, dist, weight=None):
+    """Outcomes in order, moments and level maxima equal the Fraction
+    reference exactly; a zero-cost forest under a weight fails in both."""
+    try:
+        outcomes, mean, variance, total_p, level_max = reference_enumeration(t, budget, dist, weight)
+    except ZeroDivisionError:
+        with pytest.raises(AlphaUndefined):
+            enumerate_distribution(t, budget, dist, weight=weight)
+        return
+    od = enumerate_distribution(t, budget, dist, weight=weight)
+    assert [(o.probability, o.estimate, o.alpha) for o in od.outcomes] == outcomes
+    assert (od.mean, od.variance, od.total_probability) == (mean, variance, total_p)
+    assert od.cv2 == (variance / (mean * mean) if mean != 0 else None)
+    assert list(od.level_max) == level_max
+    assert all(type(x) is Fraction for o in od.outcomes for x in (o.probability, o.estimate, o.alpha))
+
+
+def _assert_recursions_match_reference(t, budget, weight):
+    assert recursive_variance(t, budget, weight) == reference_variance(t, budget, weight)
+    try:
+        expected = reference_cv2(t, budget, weight)
+    except ValueError:  # a zero-cost forest
+        with pytest.raises(ValueError):
+            recursive_cv2(t, budget, weight)
+    else:
+        assert recursive_cv2(t, budget, weight) == expected
+
+
+@st.composite
+def scaled_forests(draw):
+    """A random forest of up to 9 nodes with dyadic costs (zero included)
+    and weights that are not dyadic (0.1, 1/3) or far apart in scale."""
+    n = draw(st.integers(1, 9))
+    children: dict = {}
+    roots = [0]
+    for i in range(1, n):
+        parent = draw(st.integers(-1, i - 1))  # -1: one more root
+        if parent < 0:
+            roots.append(i)
+        else:
+            children.setdefault(parent, []).append(i)
+    costs = draw(st.lists(st.sampled_from((0.0, 0.25, 0.5, 1.0, 3.0, 2.0**-40)), min_size=n, max_size=n))
+    weights = draw(st.lists(st.sampled_from((0.1, 1 / 3, 0.5, 1.0, 7.0, 1e-300, 1e300)), min_size=n, max_size=n))
+    return ExplicitTree(children, roots, dict(enumerate(costs))), weights.__getitem__
+
+
+@settings(max_examples=150, deadline=None)
+@given(forest=scaled_forests(), budget=st.integers(1, 3))
+def test_exact_analysis_matches_fraction_reference_on_random_forests(forest, budget):
+    t, weight = forest
+    _assert_enumeration_matches_reference(t, budget, UniformHyperchild())
+    _assert_enumeration_matches_reference(t, budget, ImportanceInduced(weight))
+    _assert_enumeration_matches_reference(t, budget, ImportanceInduced(weight), weight)
+    _assert_recursions_match_reference(t, budget, weight)
+
+
+def test_exact_analysis_matches_fraction_reference_on_verify_posets():
+    # the instance set of `verify --max-n 5 --posets 16 --max-sequences 200`
+    cells = 0
+    for poset in enumerable_posets(16, DEFAULT_SEED, 5, (1, 2, 3), 200):
+        tree = LEDecisionTree(poset)
+        for kind in ("uniform", "f1", "f2", "f3", "ideal"):
+            weight = importance_function(tree, kind)
+            for budget in (1, 2, 3):
+                _assert_enumeration_matches_reference(tree, budget, ImportanceInduced(weight), weight)
+                _assert_recursions_match_reference(tree, budget, weight)
+                cells += 1
+        for budget in (1, 2, 3):
+            _assert_enumeration_matches_reference(tree, budget, UniformHyperchild())
+    assert cells == 16 * 5 * 3
+
+
+def test_exact_analysis_matches_fraction_reference_on_thirds():
+    # Probabilities 1/3 and 2/3 make every D factor and total non-dyadic.
+    t = fixture_example_tree()
+    dist = ExplicitDistribution({
+        ("b", "c"): [(("b",), "1/3"), (("c",), "2/3")],
+        ("d",): [(("d",), 1)],
+        ("e", "f"): [(("e",), "2/3"), (("f",), "1/3")],
+        ("g",): [(("g",), 1)],
+        ("h", "i"): [(("h",), "1/3"), (("i",), "2/3")],
+        ("j",): [(("j",), 1)],
+        ("k", "l"): [(("k",), "2/3"), (("l",), "1/3")],
+        ("m",): [(("m",), 1)],
+        ("n",): [(("n",), 1)],
+    })
+    od = enumerate_distribution(t, 1, dist)
+    assert od.total_probability == 1 and od.mean == 14
+    assert {o.probability.denominator for o in od.outcomes} == {9, 27}
+    for weight in (None, fixture_example_importance()):
+        _assert_enumeration_matches_reference(t, 1, dist, weight)

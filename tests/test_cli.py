@@ -1,13 +1,14 @@
 """Command-line surface: flags, formats, exit codes, determinism."""
 
 import csv
+import functools
 import io
 import json
 
 import pytest
 from explicit_distribution import ExplicitDistribution
 
-from stochenum import cli, experiments
+from stochenum import cli, experiments, tree
 from stochenum.cli import main
 from stochenum.errors import CapExceeded
 from stochenum.posets import random_poset, save_poset
@@ -68,6 +69,18 @@ def test_exact_cap_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "exact", "--poset", str(big))
     assert code == 3
     assert "cap" in err
+
+
+def test_exact_both_prints_dp_count_before_tree_cap(tmp_path, capsys, monkeypatch):
+    anti = tmp_path / "anti.poset"
+    save_poset(random_poset(8, 0.0, 1), anti)  # 40320 extensions, far more tree nodes
+    monkeypatch.setattr(cli, "exact_forest_cost", functools.partial(tree.exact_forest_cost, max_nodes=1000))
+    code, out, err = run_cli(capsys, "exact", "--poset", str(anti), "--method", "both")
+    assert code == 3
+    assert out == "dp: 40320\n"
+    assert err.count("\n") == 1 and "1000 nodes" in err
+    code, out, _ = run_cli(capsys, "exact", "--poset", str(anti), "--method", "tree")
+    assert code == 3 and out == ""
 
 
 def test_estimate_overflow_exit_code(tmp_path, capsys):
