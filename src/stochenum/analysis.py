@@ -4,29 +4,33 @@ Everything here enumerates exponential spaces and is meant as a test
 oracle: the full outcome distribution of a walk (every hypernode
 sequence, its probability, and the estimate it would produce), the
 recursive closed forms for variance and squared coefficient of
-variation, and the alpha diagnostic that measures how far a weight
-function is from the exact subtree-cost function.
+variation, and the alpha diagnostic.  The draw enters only through
+``dist.support``, which gives each candidate hyperchild w of a
+successor union S its exact probability P(w).  An alpha step is the
+zero-variance draw's probability of w over P(w), c(w) / (c(S) *
+C(|S|-1, |w|-1) * P(w)) with c the subtree cost; under
+``ImportanceInduced`` it is the paper's (r(S)/r(w)) * (c(w)/c(S)).
 
 Every result is exact: each float input (cost, weight) is the rational
 it denotes, so identities hold with zero tolerance.  The arithmetic runs
-on plain integers: a successor union's weights, and its subtree costs,
-go on one common integer scale (``estimators.integer_scale``), the
-enumeration carries probability, D product, running total and alpha
-down each path as unreduced numerator/denominator pairs, and the
-recursions sum a hypernode's candidates over one common denominator.
-A ``Fraction`` is built only where a value leaves that loop: per
-outcome, per memo entry, and for the returned moments and maxima.  All
-enumerations count against explicit caps and raise CapExceeded rather
-than truncating.
+on plain integers: a successor union's subtree costs go on one common
+integer scale (``estimators.integer_scale``), the enumeration carries
+probability, D product, running total and alpha down each path as
+unreduced numerator/denominator pairs, and the recursions sum a
+hypernode's candidates over one common denominator.  A ``Fraction`` is
+built only where a value leaves that loop: per outcome, per memo entry,
+and for the returned moments and maxima.  All enumerations count
+against explicit caps and raise CapExceeded rather than truncating.
 
 The recursions (sequence count, variance, CV^2) memoize per hypernode.
-When the oracle defines ``state`` (see ``TreeOracle``) and the weight, if
-any, has ``child_values``, the memo key is the multiset of member states,
-so hypernodes reached by different paths are evaluated once.  Having
-``child_values`` marks a weight as a function of the node's state, the
-contract the mask walk's expansion cache relies on too; any other weight
-may read the whole path, so its memo stays keyed on the members.
-Results do not depend on the key.
+When the oracle defines ``state`` (see ``TreeOracle``) and the draw is
+``UniformHyperchild`` or ``ImportanceInduced`` of a weight with
+``child_values`` (the mark of a weight that is a function of the node's
+state, which the mask walk's expansion cache relies on too), the memo
+key is the multiset of member states, so hypernodes reached by
+different paths are evaluated once.  Any other draw may read the whole
+path, so its memo stays keyed on the members.  Results do not depend on
+the key.
 """
 
 from __future__ import annotations
@@ -39,8 +43,7 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import CapExceeded
-from .estimators import HypernodeDistribution, ImportanceInduced, integer_scale, integer_weights
-from .sampling import WeightFunction
+from .estimators import HypernodeDistribution, ImportanceInduced, UniformHyperchild, integer_scale
 from .tree import Hypernode, TreeOracle, hypernode_successors, subtree_cost_function
 
 DEFAULT_SEQUENCE_CAP = 1_000_000
@@ -58,35 +61,29 @@ class AlphaUndefined(ValueError):
 
 class _Expansion(NamedTuple):
     """Successor union S, min(budget, |S|), C(|S|-1, take-1), and, when
-    asked for, the successor weights as integers on one scale with r(S)
-    their sum, and the subtree costs as numerators over ``c_den`` with
-    c(S) the numerator of their sum."""
+    asked for, the subtree costs as numerators over ``c_den`` with c(S)
+    the numerator of their sum."""
 
     succ: tuple
     take: int
     binom: int
-    w_of: dict | None
-    r_all: int | None
     c_of: dict | None
     c_all: int | None
     c_den: int | None
 
 
-def _expand(t: TreeOracle, nodes, budget: int, weight=None, subcost=None) -> _Expansion | None:
+def _expand(t: TreeOracle, nodes, budget: int, subcost=None) -> _Expansion | None:
     """Expansion of the hypernode ``nodes``; None when it is terminal."""
     succ = hypernode_successors(nodes, t)
     if not succ:
         return None
     take = min(budget, len(succ))
-    w_of = r_all = c_of = c_all = c_den = None
-    if weight is not None:
-        w_of = dict(zip(succ, integer_weights(weight, succ)))
-        r_all = sum(w_of.values())
+    c_of = c_all = c_den = None
     if subcost is not None:
         costs, c_den = integer_scale([subcost(x) for x in succ])
         c_of = dict(zip(succ, costs))
         c_all = sum(costs)
-    return _Expansion(succ, take, comb(len(succ) - 1, take - 1), w_of, r_all, c_of, c_all, c_den)
+    return _Expansion(succ, take, comb(len(succ) - 1, take - 1), c_of, c_all, c_den)
 
 
 def _add(sn: int, sd: int, n: int, d: int) -> tuple[int, int]:
@@ -98,15 +95,18 @@ def _add(sn: int, sd: int, n: int, d: int) -> tuple[int, int]:
     return num // g, den // g
 
 
-def _memo_key(t: TreeOracle, weight: WeightFunction | None):
+def _memo_key(t: TreeOracle, dist: HypernodeDistribution):
     """Memo key of a hypernode's member tuple, or None for the tuple itself.
 
     States merge hypernodes only under the contract in the module
-    docstring: the oracle defines ``state`` and the weight, if any, has
-    ``child_values``.
+    docstring, for those two draw classes exactly (a subclass may change
+    the support).
     """
     state = t.state
-    if state is None or (weight is not None and not hasattr(weight, "child_values")):
+    if state is None or not (
+        type(dist) is UniformHyperchild
+        or type(dist) is ImportanceInduced and hasattr(dist.weight, "child_values")
+    ):
         return None
     return lambda nodes: tuple(sorted(map(state, nodes)))
 
@@ -145,7 +145,7 @@ class OutcomeDistribution:
 
     ``level_max`` holds, per depth, the largest single-step alpha factor
     over every (hypernode, candidate) pair the walk can reach there; it
-    is empty without a weight function.
+    is empty unless the enumeration was asked for ``alpha``.
     """
 
     outcomes: tuple[Outcome, ...]
@@ -186,7 +186,8 @@ def count_sequences(
             total = capped(total + count_of(tuple(sorted(sub))))
         return total
 
-    return _hypernode_recursion(t, budget, math.inf, _memo_key(t, None), step)
+    # the count is the same under every draw with the uniform draw's support
+    return _hypernode_recursion(t, budget, math.inf, _memo_key(t, UniformHyperchild()), step)
 
 
 def enumerate_distribution(
@@ -194,19 +195,19 @@ def enumerate_distribution(
     budget: int,
     dist: HypernodeDistribution,
     max_sequences: int = DEFAULT_SEQUENCE_CAP,
-    weight: WeightFunction | None = None,
+    alpha: bool = False,
     keep_sequences: bool = False,
 ) -> OutcomeDistribution:
     """Depth-first enumeration of every walk outcome under ``dist``.
 
     Each outcome records the exact probability of its hypernode sequence
-    and the exact estimate the walk arithmetic assigns to it.  When a
-    weight function is supplied, the sequence's alpha value is recorded
-    too: the product over levels of (r(S)/r(w)) * (c(w)/c(S)), which
-    compares the weight the chosen hypernode w got with its share of
-    subtree cost.  The empty product is 1, and an exact subtree-cost
-    weight gives 1 at every step.  The per-depth maxima of the single-step
-    factors go to ``level_max``.
+    and the exact estimate the walk arithmetic assigns to it.  With
+    ``alpha``, the sequence's alpha value is recorded too: the product
+    over levels of c(w) / (c(S) * C(|S|-1, |w|-1) * P(w)), the
+    zero-variance draw's probability of the chosen hypernode w over its
+    probability P(w) under ``dist`` (see the module docstring).  The empty
+    product is 1, and the zero-variance draw itself gives 1 at every step.
+    The per-depth maxima of the single-step factors go to ``level_max``.
 
     ``dist.support`` may yield any rational probability (anything with
     ``numerator`` and ``denominator``).
@@ -214,7 +215,7 @@ def enumerate_distribution(
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     root = t.root_hypernode
-    subcost = subtree_cost_function(t, Fraction) if weight is not None else None
+    subcost = subtree_cost_function(t, Fraction) if alpha else None
     size0 = len(root)
     outcomes = []
     level_max = []  # per depth, the largest factor as (numerator, positive denominator)
@@ -226,14 +227,14 @@ def enumerate_distribution(
     # per level.
     def rec(nodes, depth, pn, pd, dn, dd, tn, tq, an, ad, seq):
         nonlocal count
-        exp = _expand(t, nodes, budget, weight, subcost)
+        exp = _expand(t, nodes, budget, subcost)
         if exp is None:
             count += 1
             if count > max_sequences:
                 raise CapExceeded(f"more than {max_sequences} hypernode sequences")
             outcomes.append(Outcome(Fraction(pn, pd), Fraction(size0 * tn, dd * tq), Fraction(an, ad), seq))
             return
-        if weight is not None and exp.c_all == 0:
+        if alpha and exp.c_all == 0:
             raise AlphaUndefined(f"successor forest of {nodes!r} has zero total cost; alpha undefined")
         costs, k_den = integer_scale([t.cost(x) for x in exp.succ])
         k_of = dict(zip(exp.succ, costs))
@@ -250,10 +251,10 @@ def enumerate_distribution(
             else:
                 tn2, tq2 = tn * f, tq
             an2, ad2 = an, ad
-            if weight is not None:
-                # (r(S)/r(w)) * (c(w)/c(S))
-                fn = exp.r_all * sum(exp.c_of[x] for x in wnodes)
-                fd = sum(exp.w_of[x] for x in wnodes) * exp.c_all
+            if alpha:
+                # c(w) / (c(S) * C(|S|-1, |w|-1) * P(w))
+                fn = sum(exp.c_of[x] for x in wnodes) * p.denominator
+                fd = exp.c_all * exp.binom * p.numerator
                 an2, ad2 = an * fn, ad * fd
                 if fd < 0:
                     fn, fd = -fn, -fd
@@ -281,7 +282,7 @@ def enumerate_distribution(
 
 @dataclass(frozen=True)
 class AlphaStats:
-    """Moments and maxima of alpha under the weighted-draw distribution."""
+    """Moments and maxima of alpha under the draw it was enumerated for."""
 
     mean: object
     variance: object
@@ -291,7 +292,7 @@ class AlphaStats:
 
     @classmethod
     def from_distribution(cls, od: OutcomeDistribution) -> "AlphaStats":
-        """Alpha moments of an enumeration made with a weight function."""
+        """Alpha moments of an enumeration made with ``alpha``."""
         _, mean, var = _moments((o.probability, o.alpha) for o in od.outcomes)
         max_alpha = max(o.alpha for o in od.outcomes)
         return cls(mean, var, max_alpha, math.prod(od.level_max, start=Fraction(1)), len(od.outcomes))
@@ -300,27 +301,28 @@ class AlphaStats:
 def alpha_stats(
     t: TreeOracle,
     budget: int,
-    weight: WeightFunction,
+    dist: HypernodeDistribution,
     max_sequences: int = DEFAULT_SEQUENCE_CAP,
 ) -> AlphaStats:
-    """Full enumeration of alpha over the weighted walk.
+    """Full enumeration of alpha over the walk under ``dist``.
 
     Reports the exact expectation (1 when everything is correct), the
     variance and the maximum over all sequences, plus the looser bound
     built from per-level maxima of single-step factors over every
     reachable hypernode.
     """
-    od = enumerate_distribution(t, budget, ImportanceInduced(weight), max_sequences=max_sequences, weight=weight)
-    return AlphaStats.from_distribution(od)
+    return AlphaStats.from_distribution(enumerate_distribution(t, budget, dist, max_sequences, alpha=True))
 
 
-def _hypernode_recursion(t, budget, max_states, key, step, weight=None, subcost=None):
+def _hypernode_recursion(t, budget, max_states, key, step, subcost=None):
     """Memoized recursion over the hypernodes reachable from the root.
 
     ``step(nodes, exp, value_of)`` gives a hypernode's value from its
     expansion (None when terminal) and the values of its hyperchildren.
     ``key`` maps a member tuple to its memo key (None: the tuple itself).
     """
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     memo: dict = {}
     visited = 0
 
@@ -333,7 +335,7 @@ def _hypernode_recursion(t, budget, max_states, key, step, weight=None, subcost=
         visited += 1
         if visited > max_states:
             raise CapExceeded(f"more than {max_states} hypernode states")
-        memo[k] = step(nodes, _expand(t, nodes, budget, weight, subcost), value_of)
+        memo[k] = step(nodes, _expand(t, nodes, budget, subcost), value_of)
         return memo[k]
 
     try:
@@ -342,20 +344,35 @@ def _hypernode_recursion(t, budget, max_states, key, step, weight=None, subcost=
         del value_of  # value_of refers to itself: break that cycle so the memo frees now
 
 
+def _hyperchild_sum(exp: _Expansion, dist, budget: int, value_of, term) -> Fraction:
+    """sum_w X(w) / (C(|S|-1, |w|-1)^2 * P(w)) - Cost(T_S)^2 over the
+    candidates w of ``dist``, where ``term(value_of(w), c(w) numerator,
+    c_den^2)`` gives X(w) times c_den^2 as a (numerator, denominator) pair."""
+    c_den2 = exp.c_den * exp.c_den
+    num, den = 0, 1
+    for sub, p in dist.support(exp.succ, budget):
+        n, d = term(value_of(sub), sum(exp.c_of[x] for x in sub), c_den2)
+        num, den = _add(num, den, n * p.denominator, d * p.numerator)
+    binom2 = exp.binom * exp.binom
+    return Fraction(num - exp.c_all * exp.c_all * binom2 * den, binom2 * den * c_den2)
+
+
 def recursive_variance(
     t: TreeOracle,
     budget: int,
-    weight: WeightFunction,
+    dist: HypernodeDistribution,
     max_states: int = DEFAULT_STATE_CAP,
 ) -> Fraction:
-    """Variance of the weighted estimate by the hyperchild recursion.
+    """Variance of the estimate under ``dist`` by the hyperchild recursion.
 
-    Evaluates, per hypernode v with successor set S and candidates w,
+    Evaluates, per hypernode v with successor set S and candidates w of
+    probability P(w),
 
-        Var(v) = sum_w  (r(S)/r(w)) * (Var(w) + Cost(T_w)^2) / C(|S|-1, |w|-1)
+        Var(v) = sum_w (Var(w) + Cost(T_w)^2) / (C(|S|-1, |w|-1)^2 * P(w))
                  - Cost(T_S)^2
 
-    with variance 0 at terminal hypernodes.  Memoized per hypernode (by
+    with variance 0 at terminal hypernodes; under ``ImportanceInduced``,
+    1 / (C(|S|-1, |w|-1) * P(w)) is r(S)/r(w).  Memoized per hypernode (by
     member states where the module docstring allows); this is the
     closed-form twin of the enumeration variance and the pair is
     asserted equal in the test suite.
@@ -364,35 +381,28 @@ def recursive_variance(
     def step(nodes, exp, var_of):
         if exp is None:
             return Fraction(0)
-        c_den2 = exp.c_den * exp.c_den
-        num, den = 0, 1
-        for sub in itertools.combinations(exp.succ, exp.take):
-            var = var_of(tuple(sorted(sub)))
-            c_sel = sum(exp.c_of[x] for x in sub)
-            # += (Var(w) + Cost(T_w)^2) / r(w), times c_den^2
-            num, den = _add(
-                num, den,
-                var.numerator * c_den2 + c_sel * c_sel * var.denominator,
-                sum(exp.w_of[x] for x in sub) * var.denominator,
-            )
-        return Fraction(exp.r_all * num - exp.c_all * exp.c_all * exp.binom * den, exp.binom * den * c_den2)
+        # (Var(w) + Cost(T_w)^2) times c_den^2
+        return _hyperchild_sum(
+            exp, dist, budget, var_of,
+            lambda var, c_sel, c_den2: (var.numerator * c_den2 + c_sel * c_sel * var.denominator, var.denominator),
+        )
 
     subcost = subtree_cost_function(t, Fraction)
-    return _hypernode_recursion(t, budget, max_states, _memo_key(t, weight), step, weight, subcost)
+    return _hypernode_recursion(t, budget, max_states, _memo_key(t, dist), step, subcost)
 
 
 def recursive_cv2(
     t: TreeOracle,
     budget: int,
-    weight: WeightFunction,
+    dist: HypernodeDistribution,
     max_states: int = DEFAULT_STATE_CAP,
 ) -> Fraction:
     """Squared coefficient of variation by its own hyperchild recursion.
 
     Same shape as ``recursive_variance`` but normalized by subtree costs
     level by level; must agree with variance / cost^2 exactly.  Raises on
-    a zero-cost forest, where the ratio is undefined, and on a
-    nonpositive weight.
+    a zero-cost forest, where the ratio is undefined, and on whatever
+    ``dist.support`` rejects (a nonpositive weight).
     """
     subcost = subtree_cost_function(t, Fraction)
 
@@ -402,21 +412,14 @@ def recursive_cv2(
             raise ValueError(f"forest at {nodes!r} has zero total cost; CV undefined")
         if exp is None:
             return Fraction(0)
-        c_den2 = exp.c_den * exp.c_den
-        num, den = 0, 1
-        for sub in itertools.combinations(exp.succ, exp.take):
-            cv2 = cv2_of(tuple(sorted(sub)))
-            c_sel = sum(exp.c_of[x] for x in sub)
-            # += Cost(T_w)^2 * (CV2(w) + 1) / r(w), times c_den^2
-            num, den = _add(
-                num, den,
-                c_sel * c_sel * (cv2.numerator + cv2.denominator),
-                sum(exp.w_of[x] for x in sub) * cv2.denominator,
-            )
-        unnormalized = Fraction(exp.r_all * num - exp.c_all * exp.c_all * exp.binom * den, exp.binom * den * c_den2)
+        # Cost(T_w)^2 * (CV2(w) + 1) times c_den^2
+        unnormalized = _hyperchild_sum(
+            exp, dist, budget, cv2_of,
+            lambda cv2, c_sel, c_den2: (c_sel * c_sel * (cv2.numerator + cv2.denominator), cv2.denominator),
+        )
         return unnormalized / (cost_v * cost_v)
 
-    return _hypernode_recursion(t, budget, max_states, _memo_key(t, weight), step, weight, subcost)
+    return _hypernode_recursion(t, budget, max_states, _memo_key(t, dist), step, subcost)
 
 
 def cost_split_identity(t: TreeOracle, h: Hypernode, budget: int):
@@ -427,7 +430,9 @@ def cost_split_identity(t: TreeOracle, h: Hypernode, budget: int):
     contains each successor equally often, so the weights cancel.  Returns
     (lhs, rhs) as exact rationals for the caller to compare.
     """
-    exp = _expand(t, h.nodes, budget, subcost=subtree_cost_function(t, Fraction))
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    exp = _expand(t, h.nodes, budget, subtree_cost_function(t, Fraction))
     if exp is None:
         return Fraction(0), Fraction(0)
     rhs = sum(sum(exp.c_of[x] for x in sub) for sub in itertools.combinations(exp.succ, exp.take))

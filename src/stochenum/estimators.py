@@ -61,22 +61,6 @@ def integer_scale(values) -> tuple[list[int], int]:
     return [n * (den // d) for n, d in ratios], den
 
 
-def integer_weights(weight: WeightFunction, succ) -> list[int]:
-    """Weights of the successors ``succ`` as integers on one common scale.
-
-    Each weight is canonicalized through float() and must be positive
-    (NonpositiveWeight on <= 0 or NaN); the scale cancels in every ratio
-    of weight sums, which are therefore exact.
-    """
-    values = []
-    for x in succ:
-        w = float(weight(x))
-        if not w > 0:
-            raise NonpositiveWeight(x, w)
-        values.append(w)
-    return integer_scale(values)[0]
-
-
 class HypernodeDistribution:
     """How the next hypernode is chosen among the candidates.
 
@@ -133,7 +117,15 @@ class ImportanceInduced(HypernodeDistribution):
         return Draw(tuple(succ[i] for i in sel), r_all / r_sel)
 
     def support(self, succ, budget):
-        weights = integer_weights(self.weight, succ)
+        # checked as in draw; the common integer scale cancels in every
+        # ratio of weight sums, so the probabilities are exact
+        values = []
+        for x in succ:
+            w = float(self.weight(x))
+            if not w > 0:
+                raise NonpositiveWeight(x, w)
+            values.append(w)
+        weights = integer_scale(values)[0]
         take = min(budget, len(succ))
         denom = sum(weights) * comb(len(succ) - 1, take - 1)
         for idxs in itertools.combinations(range(len(succ)), take):

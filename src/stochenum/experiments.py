@@ -78,9 +78,11 @@ class SweepConfig:
             raise ValueError(f"budget must be >= 1, got {self.fixed_budget}")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
-        for count in (self.posets_per_point, self.estimates_per_poset):
-            if count is not None and count < 1:
-                raise ValueError("replicate counts must be >= 1")
+        if self.posets_per_point is not None and self.posets_per_point < 1:
+            raise ValueError("replicate counts must be >= 1")
+        for n in self.swept if self.kind == "n" else (self.fixed_n,):
+            if (count := self.estimates_at(n)) < 2:  # one estimate has no sample variance
+                raise ValueError(f"estimates per poset must be >= 2, got {count}")
         if not self.importance:
             raise ValueError("at least one importance kind is required")
 
@@ -175,7 +177,7 @@ def _poset_task(args) -> tuple[int, int, dict]:
         if denom == 0:
             rel = None
         else:
-            rel = (summary.variance if summary.variance is not None else 0.0) / (denom * denom)
+            rel = summary.variance / (denom * denom)
         guard = None
         if hasattr(weight, "guard_hits"):
             guard = (weight.guard_hits, weight.evaluations)

@@ -247,13 +247,13 @@ _CELLS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def _analysis(part: str, t, budget: int, weight, max_sequences: int):
     """One part of a weighted cell's analysis, computed on first use.
 
-    Parts: "enumeration" is the ``_Enumerated`` moments under
-    ``ImportanceInduced(weight)`` paired with their AlphaStats (or the
-    message of the AlphaUndefined the weighted enumeration raised);
-    "variance" and "cv2" are the recursions.  An entry counts only while
-    its weight reference still resolves to this very object, so a new
-    weight that reuses an old one's id recomputes.  No entry holds its
-    tree, so a tree is freed with its last user.
+    Every part reads the draw ``ImportanceInduced(weight)``.  Parts:
+    "enumeration" is the ``_Enumerated`` moments paired with their
+    AlphaStats (or the message of the AlphaUndefined the enumeration with
+    alpha raised); "variance" and "cv2" are the recursions.  An entry
+    counts only while its weight reference still resolves to this very
+    object, so a new weight that reuses an old one's id recomputes.  No
+    entry holds its tree, so a tree is freed with its last user.
     """
     key = (part, budget, max_sequences, id(weight))
     try:
@@ -263,14 +263,14 @@ def _analysis(part: str, t, budget: int, weight, max_sequences: int):
     entry = cells.get(key)
     if entry is not None and entry[0]() is weight:
         return entry[1]
+    dist = ImportanceInduced(weight)
     if part == "variance":
-        value = recursive_variance(t, budget, weight)
+        value = recursive_variance(t, budget, dist)
     elif part == "cv2":
-        value = recursive_cv2(t, budget, weight)
+        value = recursive_cv2(t, budget, dist)
     else:
-        dist = ImportanceInduced(weight)
         try:
-            od = enumerate_distribution(t, budget, dist, max_sequences=max_sequences, weight=weight)
+            od = enumerate_distribution(t, budget, dist, max_sequences=max_sequences, alpha=True)
             alpha = AlphaStats.from_distribution(od)
         except AlphaUndefined as exc:
             # The estimate's moments are still defined; only the alpha

@@ -2,9 +2,10 @@
 
 The textbook forms of what ``stochenum.analysis`` computes on integers:
 the depth-first outcome enumeration with its moments and per-depth alpha
-maxima, and the variance and CV^2 hyperchild recursions.  Every value is
-a ``Fraction`` and every step is the formula as written, with a memo
-keyed on the member tuple alone.  Slow, and only for tests, which
+maxima, those alpha values again in the probability-ratio form that
+holds for any draw, and the variance and CV^2 hyperchild recursions.
+Every value is a ``Fraction`` and every step is the formula as written,
+with a memo keyed on the member tuple alone.  Slow, and only for tests, which
 require the package's results to equal these exactly.
 """
 
@@ -67,6 +68,37 @@ def reference_enumeration(t, budget, dist, weight=None):
     mean = sum(p * e for p, e, _ in outcomes)
     variance = sum(p * (e - mean) ** 2 for p, e, _ in outcomes)
     return outcomes, mean, variance, total_p, level_max
+
+
+def reference_alpha(t, budget, dist):
+    """Each outcome's alpha in depth-first order, then the per-depth maxima,
+    with the step to candidate w of probability P(w) written as the
+    zero-variance draw's probability of w over P(w):
+    c(w) / (c(S) * C(|S|-1, |w|-1) * P(w)).
+
+    A zero-cost successor forest raises ZeroDivisionError.
+    """
+    subcost = subtree_cost_function(t, Fraction)
+    alphas = []
+    level_max = []
+
+    def rec(nodes, depth, alpha):
+        succ = hypernode_successors(nodes, t)
+        if not succ:
+            alphas.append(alpha)
+            return
+        binom = comb(len(succ) - 1, min(budget, len(succ)) - 1)
+        c_all = sum(subcost(x) for x in succ)
+        for wnodes, p in dist.support(succ, budget):
+            factor = sum(subcost(x) for x in wnodes) / (c_all * binom * Fraction(p))
+            if depth == len(level_max):
+                level_max.append(factor)
+            else:
+                level_max[depth] = max(level_max[depth], factor)
+            rec(wnodes, depth + 1, alpha * factor)
+
+    rec(t.root_hypernode.nodes, 0, Fraction(1))
+    return alphas, level_max
 
 
 def _recursion(t, budget, weight, step):

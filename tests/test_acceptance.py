@@ -81,10 +81,10 @@ def small_bundles(small_instances):
         count = count_linear_extensions(poset)
         for budget in (1, 2, 3):
             for kind in POSET_WEIGHTS:
-                weight = importance_function(tree, kind)
-                od = enumerate_distribution(tree, budget, ImportanceInduced(weight), max_sequences=20_000)
-                var_rec = recursive_variance(tree, budget, weight)
-                cv2_rec = recursive_cv2(tree, budget, weight)
+                dist = ImportanceInduced(importance_function(tree, kind))
+                od = enumerate_distribution(tree, budget, dist, max_sequences=20_000)
+                var_rec = recursive_variance(tree, budget, dist)
+                cv2_rec = recursive_cv2(tree, budget, dist)
                 records.append((idx, poset.n, budget, kind, count, od, var_rec, cv2_rec))
     return records, filter_time + (time.perf_counter() - t0)
 

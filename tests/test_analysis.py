@@ -5,7 +5,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from exact_reference import reference_cv2, reference_enumeration, reference_variance
+from exact_reference import reference_alpha, reference_cv2, reference_enumeration, reference_variance
 from explicit_distribution import ExplicitDistribution
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,20 +86,20 @@ def test_variance_recursion_matches_enumeration_fixture():
     t = fixture_example_tree()
     w = fixture_example_importance()
     od = enumerate_distribution(t, 2, ImportanceInduced(w))
-    assert recursive_variance(t, 2, w) == od.variance
+    assert recursive_variance(t, 2, ImportanceInduced(w)) == od.variance
     assert od.variance == Fraction(31, 24)
     od_u = enumerate_distribution(t, 2, ImportanceInduced(UNIFORM))
-    assert recursive_variance(t, 2, UNIFORM) == od_u.variance
+    assert recursive_variance(t, 2, ImportanceInduced(UNIFORM)) == od_u.variance
 
 
 def test_variance_zero_cases():
     leaf = ExplicitTree({}, roots=("v",), costs={"v": 4.0})
-    assert recursive_variance(leaf, 2, UNIFORM) == 0
-    assert recursive_cv2(leaf, 2, UNIFORM) == 0
+    assert recursive_variance(leaf, 2, ImportanceInduced(UNIFORM)) == 0
+    assert recursive_cv2(leaf, 2, ImportanceInduced(UNIFORM)) == 0
     t = fixture_example_tree()
     ideal = lambda node: float(_fixture_subtree(node))
-    assert recursive_variance(t, 2, ideal) == 0
-    assert recursive_cv2(t, 2, ideal) == 0
+    assert recursive_variance(t, 2, ImportanceInduced(ideal)) == 0
+    assert recursive_cv2(t, 2, ImportanceInduced(ideal)) == 0
 
 
 def _fixture_subtree(node):
@@ -109,8 +109,8 @@ def _fixture_subtree(node):
 def test_cv2_is_variance_over_squared_cost():
     t = fixture_example_tree()
     w = fixture_example_importance()
-    var = recursive_variance(t, 2, w)
-    cv2 = recursive_cv2(t, 2, w)
+    var = recursive_variance(t, 2, ImportanceInduced(w))
+    cv2 = recursive_cv2(t, 2, ImportanceInduced(w))
     assert cv2 == var / Fraction(196)
     assert cv2 == Fraction(31, 4704)
 
@@ -118,7 +118,7 @@ def test_cv2_is_variance_over_squared_cost():
 def test_cv2_rejects_zero_cost_forest():
     t = ExplicitTree({"a": ("b",)}, roots=("a",), costs={"a": 0.0, "b": 0.0})
     with pytest.raises(ValueError):
-        recursive_cv2(t, 1, UNIFORM)
+        recursive_cv2(t, 1, ImportanceInduced(UNIFORM))
 
 
 def test_cv2_rejects_nonpositive_weight():
@@ -128,17 +128,30 @@ def test_cv2_rejects_nonpositive_weight():
     for bad in (lambda node: -1.0, lambda node: 0.0 if node == "m" else 1.0):
         for fn in (recursive_cv2, recursive_variance, alpha_stats):
             with pytest.raises(NonpositiveWeight):
-                fn(t, 2, bad)
+                fn(t, 2, ImportanceInduced(bad))
+
+
+@pytest.mark.parametrize("budget", (0, -1))
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda t, b: count_sequences(t, b), id="count_sequences"),
+    pytest.param(lambda t, b: recursive_variance(t, b, UniformHyperchild()), id="recursive_variance"),
+    pytest.param(lambda t, b: recursive_cv2(t, b, UniformHyperchild()), id="recursive_cv2"),
+    pytest.param(lambda t, b: cost_split_identity(t, t.root_hypernode, b), id="cost_split_identity"),
+    pytest.param(lambda t, b: alpha_stats(t, b, UniformHyperchild()), id="alpha_stats"),
+])
+def test_budget_below_one_is_rejected(call, budget):
+    with pytest.raises(ValueError, match=f"^budget must be >= 1, got {budget}$"):
+        call(fixture_example_tree(), budget)
 
 
 def test_alpha_base_cases():
     # A one-node forest has one outcome, with the empty product 1.
     leaf = ExplicitTree({}, roots=("v",))
-    od = enumerate_distribution(leaf, 2, ImportanceInduced(UNIFORM), weight=UNIFORM, keep_sequences=True)
+    od = enumerate_distribution(leaf, 2, ImportanceInduced(UNIFORM), alpha=True, keep_sequences=True)
     assert [(o.sequence, o.alpha) for o in od.outcomes] == [((Hypernode(("v",)),), 1)]
     t = fixture_example_tree()
     ideal = lambda node: float(_fixture_subtree(node))
-    od = enumerate_distribution(t, 2, ImportanceInduced(ideal), weight=ideal)
+    od = enumerate_distribution(t, 2, ImportanceInduced(ideal), alpha=True)
     assert all(o.alpha == 1 for o in od.outcomes)
 
 
@@ -150,7 +163,7 @@ def test_alpha_on_worked_weighted_trajectory():
         Hypernode(("a",)), Hypernode(("b", "c")), Hypernode(("d", "e")),
         Hypernode(("h", "i")), Hypernode(("m",)),
     )
-    od = enumerate_distribution(t, 2, ImportanceInduced(w), weight=w, keep_sequences=True)
+    od = enumerate_distribution(t, 2, ImportanceInduced(w), alpha=True, keep_sequences=True)
     assert [o.alpha for o in od.outcomes if o.sequence == seq] == [Fraction(10, 11)]
 
 
@@ -158,7 +171,7 @@ def test_alpha_rejects_nonpositive_weight():
     t = fixture_example_tree()
     bad = lambda node: -1.0 if node == "c" else 1.0
     with pytest.raises(NonpositiveWeight) as err:
-        enumerate_distribution(t, 2, UniformHyperchild(), weight=bad, keep_sequences=True)
+        enumerate_distribution(t, 2, ImportanceInduced(bad), alpha=True, keep_sequences=True)
     assert err.value.node == "c"
 
 
@@ -166,14 +179,14 @@ def test_alpha_stats_expectation_is_one():
     t = fixture_example_tree()
     for w in (UNIFORM, fixture_example_importance()):
         for budget in (1, 2, 3):
-            st = alpha_stats(t, budget, w)
+            st = alpha_stats(t, budget, ImportanceInduced(w))
             assert st.mean == 1
 
 
 def test_alpha_stats_ideal_weight():
     t = fixture_example_tree()
     ideal = lambda node: float(_fixture_subtree(node))
-    st = alpha_stats(t, 2, ideal)
+    st = alpha_stats(t, 2, ImportanceInduced(ideal))
     assert st.variance == 0
     assert st.max_value == 1
     assert st.level_max_product == 1
@@ -183,8 +196,8 @@ def test_alpha_bound_chain_fixture():
     t = fixture_example_tree()
     w = fixture_example_importance()
     for budget in (1, 2, 3):
-        st = alpha_stats(t, budget, w)
-        cv2 = recursive_cv2(t, budget, w)
+        st = alpha_stats(t, budget, ImportanceInduced(w))
+        cv2 = recursive_cv2(t, budget, ImportanceInduced(w))
         assert cv2 <= st.variance
         assert cv2 <= st.max_value - 1
         assert cv2 <= st.level_max_product - 1
@@ -228,7 +241,7 @@ def test_level_max_product_matches_breadth_first_reference():
     for t, w in cells:
         for budget in (1, 2, 3):
             try:
-                stats = alpha_stats(t, budget, w)
+                stats = alpha_stats(t, budget, ImportanceInduced(w))
             except ValueError:  # a zero-cost successor forest leaves alpha undefined
                 continue
             assert stats.level_max_product == reference_level_max_product(t, budget, w)
@@ -284,7 +297,7 @@ def test_unbiasedness_and_variance_on_small_posets():
             for budget in (1, 2):
                 od = enumerate_distribution(tree, budget, ImportanceInduced(w), max_sequences=300_000)
                 assert od.mean == exact
-                assert recursive_variance(tree, budget, w, max_states=300_000) == od.variance
+                assert recursive_variance(tree, budget, ImportanceInduced(w), max_states=300_000) == od.variance
 
 
 def test_ideal_distribution_enumerates_to_zero_variance():
@@ -341,9 +354,9 @@ def test_state_memo_equals_member_memo(n, p, seed, budget, kind):
             count_sequences(plain, budget, max_sequences=3000)
         return
     assert count_sequences(plain, budget, max_sequences=3000) == count
-    weight = importance_function(tree, kind)
-    assert recursive_variance(tree, budget, weight) == recursive_variance(plain, budget, weight)
-    assert recursive_cv2(tree, budget, weight) == recursive_cv2(plain, budget, weight)
+    dist = ImportanceInduced(importance_function(tree, kind))
+    assert recursive_variance(tree, budget, dist) == recursive_variance(plain, budget, dist)
+    assert recursive_cv2(tree, budget, dist) == recursive_cv2(plain, budget, dist)
 
 
 def test_count_sequences_matches_enumeration_on_posets():
@@ -388,11 +401,12 @@ def test_prefix_dependent_weight_is_not_merged():
     for seed in range(1, 5):
         tree = LEDecisionTree(random_poset(5, 0.15, seed))
         for budget in (1, 2):
-            od = enumerate_distribution(tree, budget, ImportanceInduced(first_deleted), max_sequences=3000)
-            assert recursive_variance(tree, budget, first_deleted) == od.variance
+            dist = ImportanceInduced(first_deleted)
+            od = enumerate_distribution(tree, budget, dist, max_sequences=3000)
+            assert recursive_variance(tree, budget, dist) == od.variance
             cost = count_linear_extensions(tree.poset)
-            assert recursive_cv2(tree, budget, first_deleted) == od.variance / (cost * cost)
-            merged += od.variance != recursive_variance(tree, budget, _StateWeight(first_deleted))
+            assert recursive_cv2(tree, budget, dist) == od.variance / (cost * cost)
+            merged += od.variance != recursive_variance(tree, budget, ImportanceInduced(_StateWeight(first_deleted)))
     # the instance set has hypernodes that a state key would merge wrongly
     assert merged > 0
 
@@ -407,8 +421,8 @@ def test_exact_computations_leave_no_cyclic_garbage():
     calls = [
         lambda: count_linear_extensions(big),
         lambda: enumerate_distribution(tree, 2, ImportanceInduced(weight), max_sequences=200_000),
-        lambda: recursive_variance(tree, 2, weight),
-        lambda: recursive_cv2(tree, 2, weight),
+        lambda: recursive_variance(tree, 2, ImportanceInduced(weight)),
+        lambda: recursive_cv2(tree, 2, ImportanceInduced(weight)),
         lambda: count_sequences(tree, 2),
     ]
     gc.collect()
@@ -421,32 +435,44 @@ def test_exact_computations_leave_no_cyclic_garbage():
         gc.enable()
 
 
-def _assert_enumeration_matches_reference(t, budget, dist, weight=None):
+def _assert_enumeration_matches_reference(t, budget, dist, alpha=False):
     """Outcomes in order, moments and level maxima equal the Fraction
-    reference exactly; a zero-cost forest under a weight fails in both."""
+    reference exactly; a zero-cost forest under ``alpha`` fails in both.
+
+    With ``alpha``, an ``ImportanceInduced`` draw's alpha values are
+    checked against the reference's r-ratio form, and every draw's
+    against its probability-ratio form.
+    """
+    weight = dist.weight if alpha and type(dist) is ImportanceInduced else None
     try:
         outcomes, mean, variance, total_p, level_max = reference_enumeration(t, budget, dist, weight)
+        by_p = reference_alpha(t, budget, dist) if alpha else None
     except ZeroDivisionError:
         with pytest.raises(AlphaUndefined):
-            enumerate_distribution(t, budget, dist, weight=weight)
+            enumerate_distribution(t, budget, dist, alpha=alpha)
         return
-    od = enumerate_distribution(t, budget, dist, weight=weight)
-    assert [(o.probability, o.estimate, o.alpha) for o in od.outcomes] == outcomes
+    od = enumerate_distribution(t, budget, dist, alpha=alpha)
+    assert [(o.probability, o.estimate) for o in od.outcomes] == [(p, e) for p, e, _ in outcomes]
+    if weight is not None or not alpha:
+        assert [o.alpha for o in od.outcomes] == [a for _, _, a in outcomes]
+        assert list(od.level_max) == level_max
+    if alpha:
+        assert ([o.alpha for o in od.outcomes], list(od.level_max)) == by_p
     assert (od.mean, od.variance, od.total_probability) == (mean, variance, total_p)
     assert od.cv2 == (variance / (mean * mean) if mean != 0 else None)
-    assert list(od.level_max) == level_max
     assert all(type(x) is Fraction for o in od.outcomes for x in (o.probability, o.estimate, o.alpha))
 
 
 def _assert_recursions_match_reference(t, budget, weight):
-    assert recursive_variance(t, budget, weight) == reference_variance(t, budget, weight)
+    dist = ImportanceInduced(weight)
+    assert recursive_variance(t, budget, dist) == reference_variance(t, budget, weight)
     try:
         expected = reference_cv2(t, budget, weight)
     except ValueError:  # a zero-cost forest
         with pytest.raises(ValueError):
-            recursive_cv2(t, budget, weight)
+            recursive_cv2(t, budget, dist)
     else:
-        assert recursive_cv2(t, budget, weight) == expected
+        assert recursive_cv2(t, budget, dist) == expected
 
 
 @st.composite
@@ -473,7 +499,7 @@ def test_exact_analysis_matches_fraction_reference_on_random_forests(forest, bud
     t, weight = forest
     _assert_enumeration_matches_reference(t, budget, UniformHyperchild())
     _assert_enumeration_matches_reference(t, budget, ImportanceInduced(weight))
-    _assert_enumeration_matches_reference(t, budget, ImportanceInduced(weight), weight)
+    _assert_enumeration_matches_reference(t, budget, ImportanceInduced(weight), alpha=True)
     _assert_recursions_match_reference(t, budget, weight)
 
 
@@ -485,7 +511,7 @@ def test_exact_analysis_matches_fraction_reference_on_verify_posets():
         for kind in ("uniform", "f1", "f2", "f3", "ideal"):
             weight = importance_function(tree, kind)
             for budget in (1, 2, 3):
-                _assert_enumeration_matches_reference(tree, budget, ImportanceInduced(weight), weight)
+                _assert_enumeration_matches_reference(tree, budget, ImportanceInduced(weight), alpha=True)
                 _assert_recursions_match_reference(tree, budget, weight)
                 cells += 1
         for budget in (1, 2, 3):
@@ -510,5 +536,43 @@ def test_exact_analysis_matches_fraction_reference_on_thirds():
     od = enumerate_distribution(t, 1, dist)
     assert od.total_probability == 1 and od.mean == 14
     assert {o.probability.denominator for o in od.outcomes} == {9, 27}
-    for weight in (None, fixture_example_importance()):
-        _assert_enumeration_matches_reference(t, 1, dist, weight)
+    for alpha in (False, True):
+        _assert_enumeration_matches_reference(t, 1, dist, alpha)
+
+
+def _assert_uniform_draw_analysis(t, budget) -> bool:
+    """Under the uniform draw both recursions equal the enumeration's
+    variance and variance / cost^2, and E[alpha] is 1, exactly.  False
+    when a zero-cost forest leaves CV^2 undefined."""
+    dist = UniformHyperchild()
+    od = enumerate_distribution(t, budget, dist)
+    assert recursive_variance(t, budget, dist) == od.variance
+    try:
+        cv2 = recursive_cv2(t, budget, dist)
+    except ValueError:  # a reachable forest of zero cost
+        cv2 = None
+    else:
+        assert cv2 == od.variance / (od.mean * od.mean)
+    try:
+        stats = alpha_stats(t, budget, dist)
+    except AlphaUndefined:  # its zero-cost successor forest is a reachable candidate
+        assert cv2 is None
+    else:
+        assert stats.mean == 1
+    return cv2 is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(forest=scaled_forests(), budget=st.integers(1, 3))
+def test_uniform_draw_recursions_and_alpha_on_random_forests(forest, budget):
+    _assert_uniform_draw_analysis(forest[0], budget)
+
+
+def test_uniform_draw_recursions_and_alpha_on_verify_posets():
+    # the instance set of `verify --max-n 5 --posets 16 --max-sequences 200`
+    cells = 0
+    for poset in enumerable_posets(16, DEFAULT_SEED, 5, (1, 2, 3), 200):
+        tree = LEDecisionTree(poset)
+        for budget in (1, 2, 3):
+            cells += _assert_uniform_draw_analysis(tree, budget)
+    assert cells == 16 * 3

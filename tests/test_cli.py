@@ -279,6 +279,15 @@ def test_nonpositive_sizes_are_usage_errors(capsys, argv):
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
+def test_sweep_single_estimate_is_a_usage_error(capsys):
+    # one estimate per poset has no sample variance to report
+    code, out, err = run_cli(
+        capsys, "sweep", "--kind", "n", "--values", "5", "--budget", "2", "--posets", "1", "--estimates", "1",
+    )
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: estimates per poset must be >= 2, got 1"]
+
+
 @pytest.mark.parametrize("flag, env", [
     (("--threads", "0"), None),
     (("--threads", "-2"), None),

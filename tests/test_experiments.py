@@ -46,6 +46,16 @@ def test_config_validation():
         SweepConfig(kind="n", swept=(3,), fixed_budget=1, posets_per_point=0)
 
 
+@pytest.mark.parametrize("overrides, got", [
+    (dict(estimates_per_poset=1), 1),
+    (dict(estimates_per_poset=0), 0),
+    (dict(estimates_per_poset=None, full_protocol=True, swept=(1, 4)), 1),  # n^2 at n = 1
+])
+def test_config_rejects_fewer_than_two_estimates(overrides, got):
+    with pytest.raises(ValueError, match=f"estimates per poset must be >= 2, got {got}"):
+        small_config(**overrides)
+
+
 def test_replicate_scaling():
     cfg = SweepConfig(kind="n", swept=(10,), fixed_budget=5, seed=1)
     assert cfg.replicates(10) == 100

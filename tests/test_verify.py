@@ -47,13 +47,10 @@ def test_run_checks_analyzes_each_weighted_cell_once(monkeypatch):
     calls = {name: Counter() for name in ("enumerate", "variance", "cv2", "plain")}
 
     def spy(name, fn):
-        def wrapper(t, budget, *args, **kwargs):
-            if name == "enumerate":
-                weight = kwargs.get("weight")
-                calls["enumerate" if weight is not None else "plain"][t, budget, weight] += 1
-            else:
-                calls[name][t, budget, args[0]] += 1
-            return fn(t, budget, *args, **kwargs)
+        def wrapper(t, budget, dist, *args, **kwargs):
+            plain = name == "enumerate" and not kwargs.get("alpha")
+            calls["plain" if plain else name][t, budget, getattr(dist, "weight", None)] += 1
+            return fn(t, budget, dist, *args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(verify, "enumerate_distribution", spy("enumerate", verify.enumerate_distribution))
@@ -69,7 +66,7 @@ def test_run_checks_analyzes_each_weighted_cell_once(monkeypatch):
     assert len(calls["variance"]) == len(calls["cv2"]) == weighted
     for name in ("enumerate", "variance", "cv2"):
         assert set(calls[name].values()) == {1}, name
-    # weightless enumerations: the uniform draws and the zero-variance check
+    # enumerations without alpha: the uniform draws and the zero-variance check
     assert not set(calls["plain"]) & set(calls["enumerate"])
 
 
@@ -94,7 +91,7 @@ def test_cell_memo_holds_no_tree_and_checks_weight_identity():
     # as when a new weight reuses a freed weight's id
     key = ("variance", 2, 2000, id(weight))
     verify._CELLS[tree][key] = (lambda: None, "stale")
-    assert verify._analysis("variance", tree, 2, weight, 2000) == recursive_variance(tree, 2, weight)
+    assert verify._analysis("variance", tree, 2, weight, 2000) == recursive_variance(tree, 2, ImportanceInduced(weight))
     freed = weakref.ref(tree)
     del tree, weight
     gc.collect()
