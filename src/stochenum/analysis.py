@@ -200,10 +200,13 @@ def enumerate_distribution(
 ) -> OutcomeDistribution:
     """Depth-first enumeration of every walk outcome under ``dist``.
 
-    Each outcome records the exact probability of its hypernode sequence
-    and the exact estimate the walk arithmetic assigns to it.  With
-    ``alpha``, the sequence's alpha value is recorded too: the product
-    over levels of c(w) / (c(S) * C(|S|-1, |w|-1) * P(w)), the
+    Outcomes come in depth-first order, candidates in ``dist.support``
+    order.  Each distinct hypernode is expanded once: its candidates' step
+    factors are kept by member tuple and reused on every path that reaches
+    it.  Each outcome records the exact probability of its hypernode
+    sequence and the exact estimate the walk arithmetic assigns to it.
+    With ``alpha``, the sequence's alpha value is recorded too: the
+    product over levels of c(w) / (c(S) * C(|S|-1, |w|-1) * P(w)), the
     zero-variance draw's probability of the chosen hypernode w over its
     probability P(w) under ``dist`` (see the module docstring).  The empty
     product is 1, and the zero-variance draw itself gives 1 at every step.
@@ -219,7 +222,41 @@ def enumerate_distribution(
     size0 = len(root)
     outcomes = []
     level_max = []  # per depth, the largest factor as (numerator, positive denominator)
+    candidates_of: dict = {}  # member tuple -> its candidates' step factors, None when terminal
     count = 0
+
+    def candidates(nodes, depth):
+        """Per candidate w of size m with P(w) = pn/pd: (w, pn, pd, m * pd,
+        f = |v| * C(|S|-1, m-1) * pn, k_sel, k_den * m, the alpha step as
+        fn/fd, the Hypernode when sequences are kept); None when terminal.
+        A hypernode's depth is fixed, so its steps enter ``level_max`` here."""
+        exp = _expand(t, nodes, budget, subcost)
+        if exp is None:
+            return None
+        if alpha and exp.c_all == 0:
+            raise AlphaUndefined(f"successor forest of {nodes!r} has zero total cost; alpha undefined")
+        costs, k_den = integer_scale([t.cost(x) for x in exp.succ])
+        k_of = dict(zip(exp.succ, costs))
+        size_binom = len(nodes) * exp.binom
+        out = []
+        for wnodes, p in dist.support(exp.succ, budget):
+            m = len(wnodes)
+            fn = fd = 1
+            if alpha:
+                # c(w) / (c(S) * C(|S|-1, |w|-1) * P(w))
+                fn = sum(exp.c_of[x] for x in wnodes) * p.denominator
+                fd = exp.c_all * exp.binom * p.numerator
+                if fd < 0:
+                    fn, fd = -fn, -fd
+                if depth == len(level_max):
+                    level_max.append((fn, fd))
+                elif fn * level_max[depth][1] > level_max[depth][0] * fd:
+                    level_max[depth] = (fn, fd)
+            out.append((
+                wnodes, p.numerator, p.denominator, m * p.denominator, size_binom * p.numerator,
+                sum(k_of[x] for x in wnodes), k_den * m, fn, fd, Hypernode(wnodes) if keep_sequences else None,
+            ))
+        return out
 
     # Unreduced integer pairs down the recursion: probability pn/pd, D
     # product dn/dd, alpha an/ad, and the running total tn / (dd * tq),
@@ -227,44 +264,25 @@ def enumerate_distribution(
     # per level.
     def rec(nodes, depth, pn, pd, dn, dd, tn, tq, an, ad, seq):
         nonlocal count
-        exp = _expand(t, nodes, budget, subcost)
-        if exp is None:
+        if nodes not in candidates_of:
+            candidates_of[nodes] = candidates(nodes, depth)
+        cands = candidates_of[nodes]
+        if cands is None:
             count += 1
             if count > max_sequences:
                 raise CapExceeded(f"more than {max_sequences} hypernode sequences")
             outcomes.append(Outcome(Fraction(pn, pd), Fraction(size0 * tn, dd * tq), Fraction(an, ad), seq))
             return
-        if alpha and exp.c_all == 0:
-            raise AlphaUndefined(f"successor forest of {nodes!r} has zero total cost; alpha undefined")
-        costs, k_den = integer_scale([t.cost(x) for x in exp.succ])
-        k_of = dict(zip(exp.succ, costs))
-        size_binom = len(nodes) * exp.binom
-        for wnodes, p in dist.support(exp.succ, budget):
-            m = len(wnodes)
+        for wnodes, p_num, p_den, m_den, f, k_sel, k_m, fn, fd, hyper in cands:
             # d_k = m / (|v| * C(|S|-1, m-1) * p)
-            f = size_binom * p.numerator
-            dn2 = dn * m * p.denominator
-            k_sel = sum(k_of[x] for x in wnodes)
+            dn2 = dn * m_den
             if k_sel:  # total += (k_sel / (k_den * m)) * D
-                tn2 = tn * f * k_den * m + k_sel * dn2 * tq
-                tq2 = tq * k_den * m
+                tn2, tq2 = tn * f * k_m + k_sel * dn2 * tq, tq * k_m
             else:
                 tn2, tq2 = tn * f, tq
-            an2, ad2 = an, ad
-            if alpha:
-                # c(w) / (c(S) * C(|S|-1, |w|-1) * P(w))
-                fn = sum(exp.c_of[x] for x in wnodes) * p.denominator
-                fd = exp.c_all * exp.binom * p.numerator
-                an2, ad2 = an * fn, ad * fd
-                if fd < 0:
-                    fn, fd = -fn, -fd
-                if depth == len(level_max):
-                    level_max.append((fn, fd))
-                elif fn * level_max[depth][1] > level_max[depth][0] * fd:
-                    level_max[depth] = (fn, fd)
             rec(
-                wnodes, depth + 1, pn * p.numerator, pd * p.denominator, dn2, dd * f, tn2, tq2, an2, ad2,
-                seq + (Hypernode(wnodes),) if seq is not None else None,
+                wnodes, depth + 1, pn * p_num, pd * p_den, dn2, dd * f, tn2, tq2, an * fn, ad * fd,
+                seq + (hyper,) if seq is not None else None,
             )
 
     costs, k_den = integer_scale([t.cost(v) for v in root.nodes])

@@ -119,7 +119,7 @@ class SweepRow:
     posets: int
     estimates_per_poset: int
     mean_rel_var: float
-    stderr: float
+    stderr: float | None  # None where a single poset leaves it undefined
     guard_frac: float | None = None
     seconds: float | None = None
     zero_mean_posets: int = 0
@@ -133,7 +133,7 @@ class SweepRow:
             str(self.posets),
             str(self.estimates_per_poset),
             repr(self.mean_rel_var),
-            repr(self.stderr),
+            "" if self.stderr is None else repr(self.stderr),
             "" if self.guard_frac is None else repr(self.guard_frac),
             "0" if self.seconds is None else format(self.seconds, ".3f"),
         ]
@@ -236,7 +236,7 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> list[SweepRow]:
             zero_mean = sum(1 for _, (rel, _, _, _) in cell if rel is None)
             if rels:
                 summary = summarize(rels)
-                mean_rel, stderr = summary.mean, summary.stderr if len(rels) > 1 else 0.0
+                mean_rel, stderr = summary.mean, summary.stderr
             else:
                 mean_rel = stderr = float("nan")
             hits = sum(g[0] for _, (_, g, _, _) in cell if g is not None)

@@ -8,22 +8,21 @@ enumeration, the alpha diagnostics with their bound chain, and the
 zero-variance property of exact-cost weights.  The CLI exposes this as a
 user-facing command; the test suite calls the same functions.
 
-A weighted (tree, budget, weight) cell is analyzed once however many
-checks read it: one enumeration under the weight's induced draw (which
-also yields the alpha moments), one variance recursion and one CV^2
-recursion.  Only their scalars are kept, per tree, for as long as the
-tree and the weight live, so the checks share them whether they run
-from ``run_checks`` or one by one.
+The exact checks (unbiasedness, the variance forms, alpha) take lists
+of ``Cell``: one (instance, budget, draw) each, whose enumeration (which
+under an ``ImportanceInduced`` draw also yields the alpha moments),
+variance recursion and CV^2 recursion run on first use and are kept as
+scalars.  ``run_checks`` builds each cell once and hands the same object
+to every check that reads it, so each is analyzed once.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
+from functools import cached_property
 
-# alpha_stats is not called here (a cell reads the alpha moments off its
+# alpha_stats is not called here (a Cell reads the alpha moments off its
 # one enumeration), but stays bound in this module with the other
 # analysis entry points for instrumentation that wraps them here.
 from .analysis import (  # noqa: F401
@@ -234,134 +233,113 @@ def _exact_cost(t) -> Fraction:
     return sum((subcost(v) for v in t.root_hypernode), Fraction(0))
 
 
-class _Enumerated(NamedTuple):
-    mean: Fraction
-    total_probability: Fraction
-    variance: Fraction
+class Cell:
+    """One (instance, budget, draw) cell of the exact checks.
 
-
-# tree -> {(part, budget, max_sequences, id(weight)): (weight reference, value)}
-_CELLS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _analysis(part: str, t, budget: int, weight, max_sequences: int):
-    """One part of a weighted cell's analysis, computed on first use.
-
-    Every part reads the draw ``ImportanceInduced(weight)``.  Parts:
-    "enumeration" is the ``_Enumerated`` moments paired with their
-    AlphaStats (or the message of the AlphaUndefined the enumeration with
-    alpha raised); "variance" and "cv2" are the recursions.  An entry
-    counts only while its weight reference still resolves to this very
-    object, so a new weight that reuses an old one's id recomputes.  No
-    entry holds its tree, so a tree is freed with its last user.
+    Each part is computed on first use and kept, so every check that
+    reads a cell shares one analysis of it: ``cost`` is the exact forest
+    cost; ``enumeration`` is (mean, total probability, variance, alpha)
+    of the outcome distribution, where alpha is the AlphaStats of an
+    ``ImportanceInduced`` draw (or the AlphaUndefined its enumeration
+    raised) and None under any other draw; ``variance`` and ``cv2`` are
+    the recursions.  Only scalars are kept, never the outcomes.
     """
-    key = (part, budget, max_sequences, id(weight))
-    try:
-        cells = _CELLS.setdefault(t, {})
-    except TypeError:  # an oracle that is unhashable or has no weak references
-        cells = {}
-    entry = cells.get(key)
-    if entry is not None and entry[0]() is weight:
-        return entry[1]
-    dist = ImportanceInduced(weight)
-    if part == "variance":
-        value = recursive_variance(t, budget, dist)
-    elif part == "cv2":
-        value = recursive_cv2(t, budget, dist)
-    else:
-        try:
-            od = enumerate_distribution(t, budget, dist, max_sequences=max_sequences, alpha=True)
-            alpha = AlphaStats.from_distribution(od)
-        except AlphaUndefined as exc:
-            # The estimate's moments are still defined; only the alpha
-            # check raises, as a standalone alpha_stats would.
-            od = enumerate_distribution(t, budget, dist, max_sequences=max_sequences)
-            alpha = str(exc)
-        value = _Enumerated(od.mean, od.total_probability, od.variance), alpha
-    try:
-        ref = weakref.ref(weight)
-    except TypeError:  # e.g. an instance of a class with __slots__ and no __weakref__
-        ref = lambda: weight
-    cells[key] = ref, value
-    return value
+
+    def __init__(self, label: str, t, budget: int, draw_label: str, dist, max_sequences: int):
+        self.label, self.t, self.budget = label, t, budget
+        self.draw_label, self.dist, self.max_sequences = draw_label, dist, max_sequences
+
+    def __str__(self) -> str:
+        return f"{self.label} B={self.budget} {self.draw_label}"
+
+    @cached_property
+    def cost(self) -> Fraction:
+        return _exact_cost(self.t)
+
+    @cached_property
+    def enumeration(self) -> tuple:
+        args = self.t, self.budget, self.dist, self.max_sequences
+        alpha = None
+        if isinstance(self.dist, ImportanceInduced):
+            try:
+                od = enumerate_distribution(*args, alpha=True)
+                return od.mean, od.total_probability, od.variance, AlphaStats.from_distribution(od)
+            except AlphaUndefined as exc:
+                # the estimate's moments are still defined; only the alpha check raises
+                alpha = exc
+        od = enumerate_distribution(*args)
+        return od.mean, od.total_probability, od.variance, alpha
+
+    @cached_property
+    def variance(self) -> Fraction:
+        return recursive_variance(self.t, self.budget, self.dist)
+
+    @cached_property
+    def cv2(self) -> Fraction:
+        return recursive_cv2(self.t, self.budget, self.dist)
 
 
-def check_unbiasedness(instances, budgets, max_sequences) -> CheckResult:
+def check_unbiasedness(cells) -> CheckResult:
     """Enumerated expectation equals exact forest cost, exactly."""
     res = CheckResult("unbiasedness of enumerated expectation")
-    for label, t, dists in instances:
-        cost = _exact_cost(t)
-        for budget in budgets:
-            for dist_label, dist in dists:
-                # exactly the cell's draw; a subclass may change the support
-                if type(dist) is ImportanceInduced:
-                    od = _analysis("enumeration", t, budget, dist.weight, max_sequences)[0]
-                else:
-                    od = enumerate_distribution(t, budget, dist, max_sequences=max_sequences)
-                res.instances += 1
-                if od.total_probability != 1:
-                    res.fail(f"{label} B={budget} {dist_label}: probabilities sum to {od.total_probability}")
-                    return res
-                if od.mean != cost:
-                    res.fail(f"{label} B={budget} {dist_label}: mean {od.mean} != cost {cost}")
-                    return res
+    for cell in cells:
+        mean, total_probability, _, _ = cell.enumeration
+        res.instances += 1
+        if total_probability != 1:
+            res.fail(f"{cell}: probabilities sum to {total_probability}")
+            return res
+        if mean != cell.cost:
+            res.fail(f"{cell}: mean {mean} != cost {cell.cost}")
+            return res
     return res
 
 
-def check_variance_forms(instances, budgets, max_sequences) -> CheckResult:
+def check_variance_forms(cells) -> CheckResult:
     """Recursive variance and CV^2 agree with enumeration, exactly."""
     res = CheckResult("recursive variance and CV agreement")
-    for label, t, weights in instances:
-        cost = _exact_cost(t)
-        for budget in budgets:
-            for w_label, weight in weights:
-                od = _analysis("enumeration", t, budget, weight, max_sequences)[0]
-                var = _analysis("variance", t, budget, weight, max_sequences)
-                res.instances += 1
-                if var != od.variance:
-                    res.fail(f"{label} B={budget} {w_label}: recursion {var} != enumeration {od.variance}")
-                    return res
-                if cost != 0:
-                    cv2 = _analysis("cv2", t, budget, weight, max_sequences)
-                    if cv2 != var / (cost * cost):
-                        res.fail(f"{label} B={budget} {w_label}: cv2 recursion {cv2} != {var / (cost * cost)}")
-                        return res
+    for cell in cells:
+        variance = cell.enumeration[2]
+        res.instances += 1
+        if cell.variance != variance:
+            res.fail(f"{cell}: recursion {cell.variance} != enumeration {variance}")
+            return res
+        cost = cell.cost
+        if cost != 0 and cell.cv2 != variance / (cost * cost):
+            res.fail(f"{cell}: cv2 recursion {cell.cv2} != {variance / (cost * cost)}")
+            return res
     return res
 
 
-def check_alpha_suite(instances, budgets, max_sequences, bounds_sink=None) -> CheckResult:
-    """Expected alpha is 1; the variance/max/product bound chain holds."""
+def check_alpha_suite(cells, bounds_sink=None) -> CheckResult:
+    """Expected alpha is 1; the variance/max/product bound chain holds.
+
+    Every cell's draw must be ``ImportanceInduced``.
+    """
     res = CheckResult("alpha diagnostics and bounds")
-    for label, t, weights in instances:
-        for budget in budgets:
-            for w_label, weight in weights:
-                stats = _analysis("enumeration", t, budget, weight, max_sequences)[1]
-                if isinstance(stats, str):
-                    raise AlphaUndefined(stats)
-                cv2 = _analysis("cv2", t, budget, weight, max_sequences)
-                res.instances += 1
-                if stats.mean != 1:
-                    res.fail(f"{label} B={budget} {w_label}: expected alpha {stats.mean} != 1")
-                    return res
-                if not cv2 <= stats.variance:
-                    res.fail(f"{label} B={budget} {w_label}: cv2 {cv2} > alpha variance {stats.variance}")
-                    return res
-                if not cv2 <= stats.max_value - 1:
-                    res.fail(f"{label} B={budget} {w_label}: cv2 {cv2} > max alpha - 1 = {stats.max_value - 1}")
-                    return res
-                if not cv2 <= stats.level_max_product - 1:
-                    res.fail(
-                        f"{label} B={budget} {w_label}: cv2 {cv2} > level product - 1 = "
-                        f"{stats.level_max_product - 1}"
-                    )
-                    return res
-                # second-moment chain: Var + E^2 = E[alpha^2] <= max * E
-                if not stats.variance + stats.mean ** 2 <= stats.max_value * stats.mean:
-                    res.fail(f"{label} B={budget} {w_label}: alpha second moment above max*mean")
-                    return res
-                if bounds_sink is not None:
-                    var = _analysis("variance", t, budget, weight, max_sequences)
-                    bounds_sink.append(bounds_csv_row(label, budget, w_label, var, cv2, stats))
+    for cell in cells:
+        stats = cell.enumeration[3]
+        if not isinstance(stats, AlphaStats):  # the AlphaUndefined kept, or None under another draw
+            raise stats or ValueError(f"{cell}: alpha needs an ImportanceInduced draw")
+        cv2 = cell.cv2
+        res.instances += 1
+        if stats.mean != 1:
+            res.fail(f"{cell}: expected alpha {stats.mean} != 1")
+            return res
+        if not cv2 <= stats.variance:
+            res.fail(f"{cell}: cv2 {cv2} > alpha variance {stats.variance}")
+            return res
+        if not cv2 <= stats.max_value - 1:
+            res.fail(f"{cell}: cv2 {cv2} > max alpha - 1 = {stats.max_value - 1}")
+            return res
+        if not cv2 <= stats.level_max_product - 1:
+            res.fail(f"{cell}: cv2 {cv2} > level product - 1 = {stats.level_max_product - 1}")
+            return res
+        # second-moment chain: Var + E^2 = E[alpha^2] <= max * E
+        if not stats.variance + stats.mean ** 2 <= stats.max_value * stats.mean:
+            res.fail(f"{cell}: alpha second moment above max*mean")
+            return res
+        if bounds_sink is not None:
+            bounds_sink.append(bounds_csv_row(cell.label, cell.budget, cell.draw_label, cell.variance, cv2, stats))
     return res
 
 
@@ -409,34 +387,37 @@ def run_checks(
     for i, p in enumerate(poset_instances[: max(3, posets // 3)]):
         trees.append((f"poset-{i}", LEDecisionTree(p)))
 
-    uniform_weight = lambda node: 1.0
-    leafcount = fixture_example_importance()
-    fixture_dists = [
-        ("uniform", UniformHyperchild()),
-        ("leafcount", ImportanceInduced(leafcount)),
-        ("ideal", ideal_cost_distribution(fixture)),
-    ]
-    unbiased_instances = [("fixture-tree", fixture, fixture_dists)]
-    weighted_instances = [
-        ("fixture-tree", fixture, [("uniform", uniform_weight), ("leafcount", leafcount)]),
-    ]
+    # one cell per (instance, budget, draw), handed to every check that reads it
+    unbiased_cells: list[Cell] = []
+    weighted_cells: list[Cell] = []
+    leafcount = ImportanceInduced(fixture_example_importance())
+    instances = [("fixture-tree", fixture, [
+        ("uniform", UniformHyperchild(), (unbiased_cells,)),
+        ("uniform", ImportanceInduced(lambda node: 1.0), (weighted_cells,)),
+        ("leafcount", leafcount, (unbiased_cells, weighted_cells)),
+        ("ideal", ideal_cost_distribution(fixture), (unbiased_cells,)),
+    ])]
     zero_var_instances = [("fixture-tree", fixture)]
     for i, p in enumerate(poset_instances):
         tree = LEDecisionTree(p)
         label = f"poset-{i}(n={p.n})"
-        weights = [(kind, importance_function(tree, kind)) for kind in POSET_IMPORTANCE]
-        unbiased_instances.append(
-            (label, tree, [(k, ImportanceInduced(w)) for k, w in weights] + [("uniform-dist", UniformHyperchild())])
-        )
-        weighted_instances.append((label, tree, weights))
+        draws = [(kind, ImportanceInduced(importance_function(tree, kind)), (unbiased_cells, weighted_cells))
+                 for kind in POSET_IMPORTANCE]
+        instances.append((label, tree, draws + [("uniform-dist", UniformHyperchild(), (unbiased_cells,))]))
         zero_var_instances.append((label, tree))
+    for label, t, draws in instances:
+        for budget in budgets:
+            for draw_label, dist, readers in draws:
+                cell = Cell(label, t, budget, draw_label, dist, max_sequences)
+                for cells in readers:
+                    cells.append(cell)
 
     results = [
         check_fixture_golden(),
         check_cost_split_identity(trees, budgets, seed),
-        check_unbiasedness(unbiased_instances, budgets, max_sequences),
-        check_variance_forms(weighted_instances, budgets, max_sequences),
-        check_alpha_suite(weighted_instances, budgets, max_sequences, bounds_sink),
+        check_unbiasedness(unbiased_cells),
+        check_variance_forms(weighted_cells),
+        check_alpha_suite(weighted_cells, bounds_sink),
         check_zero_variance(zero_var_instances, budgets, runs=50, seed=seed),
     ]
     return results

@@ -30,12 +30,7 @@ import time
 
 import pytest
 
-from stochenum.analysis import (
-    cost_split_identity,
-    enumerate_distribution,
-    recursive_cv2,
-    recursive_variance,
-)
+from stochenum.analysis import cost_split_identity
 from stochenum.estimators import (
     ImportanceInduced,
     UniformHyperchild,
@@ -52,7 +47,14 @@ from stochenum.tree import (
     fixture_example_tree,
     hypernode_successors,
 )
-from stochenum.verify import check_alpha_suite, check_fixture_golden, enumerable_posets
+from stochenum.verify import (
+    Cell,
+    check_alpha_suite,
+    check_fixture_golden,
+    check_unbiasedness,
+    check_variance_forms,
+    enumerable_posets,
+)
 
 SEED = 20240501
 POSET_WEIGHTS = ("uniform", "f1", "f2", "f3")
@@ -63,30 +65,30 @@ def report(criterion, detail):
 
 
 @pytest.fixture(scope="module")
-def small_instances():
-    """200 seeded enumerable posets with n <= 6, shared by criteria 2 and 3."""
+def small_cells():
+    """Cells shared by criteria 2 and 3: 200 seeded enumerable posets with
+    n <= 6 (per poset, budgets 1..3 times four weight kinds) and the
+    fixture tree's three draws, plus the time the filter took."""
     t0 = time.perf_counter()
     posets = enumerable_posets(200, SEED, 6, (1, 2, 3), 20_000)
-    return posets, time.perf_counter() - t0
-
-
-@pytest.fixture(scope="module")
-def small_bundles(small_instances):
-    """Exact enumeration plus both recursions for every instance cell."""
-    posets, filter_time = small_instances
-    t0 = time.perf_counter()
-    records = []
+    poset_cells = []
     for idx, poset in enumerate(posets):
         tree = LEDecisionTree(poset)
-        count = count_linear_extensions(poset)
-        for budget in (1, 2, 3):
-            for kind in POSET_WEIGHTS:
-                dist = ImportanceInduced(importance_function(tree, kind))
-                od = enumerate_distribution(tree, budget, dist, max_sequences=20_000)
-                var_rec = recursive_variance(tree, budget, dist)
-                cv2_rec = recursive_cv2(tree, budget, dist)
-                records.append((idx, poset.n, budget, kind, count, od, var_rec, cv2_rec))
-    return records, filter_time + (time.perf_counter() - t0)
+        dists = [(kind, ImportanceInduced(importance_function(tree, kind))) for kind in POSET_WEIGHTS]
+        poset_cells.append([
+            Cell(f"poset {idx} (n={poset.n})", tree, budget, kind, dist, 20_000)
+            for budget in (1, 2, 3) for kind, dist in dists
+        ])
+    fixture = fixture_example_tree()
+    fixture_draws = (
+        ("uniform", UniformHyperchild()),
+        ("leafcount", ImportanceInduced(fixture_example_importance())),
+        ("ideal", ideal_cost_distribution(fixture)),
+    )
+    fixture_cells = [
+        Cell("fixture", fixture, budget, label, dist, 20_000) for budget in (1, 2, 3) for label, dist in fixture_draws
+    ]
+    return posets, poset_cells, fixture_cells, {"filter": time.perf_counter() - t0}
 
 
 def test_criterion_1_golden_fixtures():
@@ -98,37 +100,33 @@ def test_criterion_1_golden_fixtures():
     report(1, f"replays 12.75 / 13.0 with D (2, 5/2, 5, 5/2) and 15; counts 14 and 7; {elapsed:.3f}s")
 
 
-def test_criterion_2_deterministic_unbiasedness(small_bundles):
-    records, elapsed = small_bundles
+def test_criterion_2_deterministic_unbiasedness(small_cells):
+    posets, poset_cells, fixture_cells, timings = small_cells
     t0 = time.perf_counter()
-    fixture = fixture_example_tree()
-    fixture_checked = 0
-    for budget in (1, 2, 3):
-        for dist in (
-            UniformHyperchild(),
-            ImportanceInduced(fixture_example_importance()),
-            ideal_cost_distribution(fixture),
-        ):
-            od = enumerate_distribution(fixture, budget, dist)
-            assert od.mean == 14
-            fixture_checked += 1
-
-    assert len(records) == 200 * 3 * 4
-    for idx, n, budget, kind, count, od, _, _ in records:
-        assert od.mean == count, f"poset {idx} (n={n}) B={budget} {kind}: mean {od.mean} vs {count}"
-        assert od.total_probability == 1
-    elapsed += time.perf_counter() - t0
+    res = check_unbiasedness(fixture_cells + [cell for cells in poset_cells for cell in cells])
+    assert res.passed, res.failures
+    assert res.instances == 200 * 3 * 4 + 9
+    # the exact cost the check compares against is the per-component DP count
+    assert all(cell.cost == 14 for cell in fixture_cells)
+    for idx, (poset, cells) in enumerate(zip(posets, poset_cells)):
+        count = count_linear_extensions(poset)
+        assert all(cell.cost == count for cell in cells), f"poset {idx} (n={poset.n}): DP count {count}"
+    timings["unbiasedness"] = time.perf_counter() - t0
+    elapsed = timings["filter"] + timings["unbiasedness"]
     assert elapsed < 120.0
-    report(2, f"{len(records)} poset cells + {fixture_checked} fixture cells, all exact, {elapsed:.0f}s")
+    report(2, f"{res.instances - 9} poset cells + 9 fixture cells, all exact, {elapsed:.0f}s")
 
 
-def test_criterion_3_variance_formula_equivalence(small_bundles):
-    records, elapsed = small_bundles
-    for idx, n, budget, kind, count, od, var_rec, cv2_rec in records:
-        assert var_rec == od.variance, f"poset {idx} (n={n}) B={budget} {kind}: {var_rec} vs {od.variance}"
-        assert cv2_rec == od.variance / count**2, f"poset {idx} (n={n}) B={budget} {kind}: cv2 {cv2_rec}"
+def test_criterion_3_variance_formula_equivalence(small_cells):
+    _, poset_cells, _, timings = small_cells
+    t0 = time.perf_counter()
+    res = check_variance_forms([cell for cells in poset_cells for cell in cells])
+    assert res.passed, res.failures
+    assert res.instances == 200 * 3 * 4
+    # the enumerations read here ran on criterion 2's clock when it ran first
+    elapsed = timings["filter"] + timings.get("unbiasedness", 0.0) + (time.perf_counter() - t0)
     assert elapsed < 120.0
-    report(3, f"{len(records)} cells, all exact")
+    report(3, f"{res.instances} cells, all exact, {elapsed:.0f}s")
 
 
 def _reachable_hypernodes(tree, budget, cap=4000):
@@ -165,7 +163,10 @@ def test_criterion_4_alpha_suite():
 
     # Expected alpha exactly 1 (within 1e-12 a fortiori) and the bound
     # chain with zero tolerance on direction, on the verify code path.
-    res = check_alpha_suite(instances, (1, 2, 3), 20_000)
+    res = check_alpha_suite([
+        Cell(label, tree, budget, k, ImportanceInduced(w), 20_000)
+        for label, tree, weights in instances for budget in (1, 2, 3) for k, w in weights
+    ])
     assert res.passed, res.failures
     assert res.instances == sum(3 * len(weights) for _, _, weights in instances)
     identity_checked = 0

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from explicit_distribution import ExplicitDistribution
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stochenum import analysis
 from stochenum.analysis import (
     AlphaUndefined,
     alpha_stats,
@@ -433,6 +435,25 @@ def test_exact_computations_leave_no_cyclic_garbage():
             assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_enumeration_expands_each_hypernode_once(monkeypatch):
+    calls = Counter()
+    expand = analysis._expand
+
+    def spy(t, nodes, *args):
+        calls[nodes] += 1
+        return expand(t, nodes, *args)
+
+    monkeypatch.setattr(analysis, "_expand", spy)
+    tree = LEDecisionTree(random_poset(5, 0.2, 1))
+    for alpha in (False, True):
+        calls.clear()
+        od = enumerate_distribution(tree, 2, ImportanceInduced(importance_function(tree, "f2")),
+                                    alpha=alpha, keep_sequences=True)
+        visits = [h.nodes for o in od.outcomes for h in o.sequence]
+        assert set(calls) == set(visits) and len(visits) > len(calls)
+        assert set(calls.values()) == {1}
 
 
 def _assert_enumeration_matches_reference(t, budget, dist, alpha=False):

@@ -12,7 +12,7 @@ from stochenum import cli, experiments, tree
 from stochenum.cli import main
 from stochenum.errors import CapExceeded
 from stochenum.posets import random_poset, save_poset
-from stochenum.verify import DEFAULT_SEED, check_unbiasedness, enumerable_posets
+from stochenum.verify import DEFAULT_SEED, Cell, check_unbiasedness, enumerable_posets
 from stochenum.tree import fixture_example_tree
 
 
@@ -249,6 +249,18 @@ def test_sweep_json_lines(capsys):
     assert {r["importance"] for r in rows} == {"uniform", "f1", "f2", "f3"}
 
 
+def test_sweep_stderr_of_one_poset_is_empty(capsys):
+    argv = ("sweep", "--kind", "n", "--values", "5", "--budget", "2", "--posets", "1", "--estimates", "4")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 4 and all(r["stderr"] == "" for r in rows)
+    code, out, _ = run_cli(capsys, "--format", "json-lines", *argv)
+    assert code == 0
+    rows = [json.loads(line) for line in out.strip().splitlines()]
+    assert len(rows) == 4 and all(r["stderr"] is None for r in rows)
+
+
 def test_threads_env_fallback(monkeypatch, capsys):
     monkeypatch.setenv("SE_COUNT_THREADS", "2")
     code, out, _ = run_cli(
@@ -411,5 +423,5 @@ def test_corrupted_distribution_fails_unbiasedness():
             for nodes, p in super().support(succ, budget):
                 yield nodes, p * 2 if nodes == ("d", "e") else p
 
-    res = check_unbiasedness([("fixture", t, [("lying", Lying(table))])], (2,), 200_000)
+    res = check_unbiasedness([Cell("fixture", t, 2, "lying", Lying(table), 200_000)])
     assert not res.passed

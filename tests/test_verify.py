@@ -1,18 +1,14 @@
 """The check suite behind ``stochenum verify``: pinned output, and one
-exact analysis per weighted cell."""
+exact analysis per cell."""
 
-import gc
 import hashlib
-import weakref
 from collections import Counter
 
 import pytest
 
 from stochenum import verify
 from stochenum.cli import main
-from stochenum.analysis import recursive_variance
-from stochenum.estimators import ImportanceInduced
-from stochenum.posets import LEDecisionTree, importance_function, random_poset
+from stochenum.estimators import ImportanceInduced, UniformHyperchild
 from stochenum.tree import ExplicitTree, fixture_example_importance, fixture_example_tree
 
 # Recorded before the per-cell sharing: stdout and the --out CSV of
@@ -75,27 +71,19 @@ def test_unbiasedness_passes_on_a_zero_cost_successor_forest():
     # root; the estimate is still unbiased, and only the alpha check raises.
     t = ExplicitTree({"a": ("b", "c"), "b": ("d",)}, roots=("a",),
                      costs={"a": 1.0, "b": 0.0, "c": 0.0, "d": 0.0})
-    weight = lambda node: 1.0
-    instances = [("zero-cost", t, [("uniform", ImportanceInduced(weight))])]
-    res = verify.check_unbiasedness(instances, (1, 2), 1000)
+    dist = ImportanceInduced(lambda node: 1.0)
+    cells = [verify.Cell("zero-cost", t, budget, "uniform", dist, 1000) for budget in (1, 2)]
+    res = verify.check_unbiasedness(cells)
     assert res.passed and res.instances == 2
     with pytest.raises(ValueError, match="alpha undefined"):
-        verify.check_alpha_suite([("zero-cost", t, [("uniform", weight)])], (1,), 1000)
+        verify.check_alpha_suite(cells[:1])
 
 
-def test_cell_memo_holds_no_tree_and_checks_weight_identity():
-    tree = LEDecisionTree(random_poset(5, 0.2, 1))
-    weight = importance_function(tree, "f2")  # the weight holds its tree
-    assert verify.check_variance_forms([("p", tree, [("f2", weight)])], (1, 2), 2000).passed
-    # an entry whose weight reference resolves elsewhere is recomputed,
-    # as when a new weight reuses a freed weight's id
-    key = ("variance", 2, 2000, id(weight))
-    verify._CELLS[tree][key] = (lambda: None, "stale")
-    assert verify._analysis("variance", tree, 2, weight, 2000) == recursive_variance(tree, 2, ImportanceInduced(weight))
-    freed = weakref.ref(tree)
-    del tree, weight
-    gc.collect()
-    assert freed() is None
+def test_alpha_suite_rejects_a_draw_without_alpha():
+    cell = verify.Cell("fixture", fixture_example_tree(), 2, "uniform-dist", UniformHyperchild(), 1000)
+    assert verify.check_unbiasedness([cell]).passed
+    with pytest.raises(ValueError, match="ImportanceInduced"):
+        verify.check_alpha_suite([cell])
 
 
 class _SlottedWeight:
@@ -108,15 +96,14 @@ class _SlottedWeight:
         return self.table(node)
 
 
-def test_cell_memo_takes_unhashable_oracles_and_unreferenceable_weights():
+def test_cells_take_unhashable_oracles_and_slotted_weights():
     class Unhashable(ExplicitTree):
         __hash__ = None
 
     fixture = fixture_example_tree()
     t = Unhashable({k: fixture.successors(k) for k in "abcdefghijklmn"}, roots=("a",))
-    weight = _SlottedWeight(fixture_example_importance())
-    with pytest.raises(TypeError):
-        weakref.ref(weight)
+    dist = ImportanceInduced(_SlottedWeight(fixture_example_importance()))
     for tree in (fixture, t):
-        res = verify.check_variance_forms([("fixture", tree, [("leafcount", weight)])], (1, 2), 200_000)
+        cells = [verify.Cell("fixture", tree, budget, "leafcount", dist, 200_000) for budget in (1, 2)]
+        res = verify.check_variance_forms(cells)
         assert res.passed and res.instances == 2
