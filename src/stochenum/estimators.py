@@ -25,6 +25,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import EstimateOverflow
 from .sampling import (
+    RUN_GROUP,
     ChoiceSource,
     NonpositiveWeight,
     RandomChoice,
@@ -244,20 +245,16 @@ class RunSummary:
     """Aggregate of repeated independent runs.
 
     ``variance`` is the unbiased sample variance and is None for a single
-    run.  Relative variance (identically CV squared) is variance over the
-    squared mean and is None when the mean is zero.
+    run; outside the double range it reads inf or 0.  ``rel_variance``
+    (identically CV squared) is variance over the squared mean, None for
+    a single run or a zero mean.
     """
 
     runs: int
     mean: float
     variance: float | None
     stderr: float | None
-
-    @property
-    def rel_variance(self) -> float | None:
-        if self.variance is None or self.mean == 0.0:
-            return None
-        return self.variance / (self.mean * self.mean)
+    rel_variance: float | None
 
     def to_dict(self) -> dict:
         return {
@@ -270,19 +267,42 @@ class RunSummary:
 
 
 def summarize(estimates: Sequence[float]) -> RunSummary:
-    """Order-insensitive summary; exact-summation keeps it deterministic."""
+    """Order-insensitive summary; exact-summation keeps it deterministic.
+
+    When the largest magnitude lies outside [2^-400, 2^400), the
+    arithmetic runs on the estimates scaled by the power of two that
+    brings it into [0.5, 1).  The scaling is exact, and it keeps squares
+    and sums within the double range: the mean, standard error and
+    relative variance of finite estimates stay finite, and only
+    ``variance`` itself may leave the range.  Inside that window nothing
+    is scaled.
+    """
     n = len(estimates)
     if n == 0:
         raise ValueError("no estimates to summarize")
-    mean = math.fsum(estimates) / n
+    shift = math.frexp(max(map(abs, estimates)))[1]
+    if -400 < shift <= 400:
+        shift = 0
+    scaled = [math.ldexp(x, -shift) for x in estimates]
+    mean = math.fsum(scaled) / n
     if n < 2:
-        return RunSummary(runs=n, mean=mean, variance=None, stderr=None)
-    var = math.fsum((x - mean) ** 2 for x in estimates) / (n - 1)
-    return RunSummary(runs=n, mean=mean, variance=var, stderr=math.sqrt(var / n))
+        return RunSummary(runs=n, mean=math.ldexp(mean, shift), variance=None, stderr=None, rel_variance=None)
+    var = math.fsum((x - mean) ** 2 for x in scaled) / (n - 1)
+    try:
+        variance = math.ldexp(var, 2 * shift)
+    except OverflowError:
+        variance = math.inf
+    return RunSummary(
+        runs=n,
+        mean=math.ldexp(mean, shift),
+        variance=variance,
+        stderr=math.ldexp(math.sqrt(var / n), shift),
+        rel_variance=var / (mean * mean) if mean else None,
+    )
 
 
 def _run_block(t, budget, dist, seed, start, stop) -> list[float]:
-    """Estimates for run indices [start, stop), each on its derived stream.
+    """Estimates for run indices [start, stop) under stream contract v2.
 
     Decision trees under the uniform draw or a weight with
     ``child_values`` take the tree's mask-only walk; everything else takes
@@ -303,15 +323,18 @@ def _run_block(t, budget, dist, seed, start, stop) -> list[float]:
         except Exception as exc:
             raise RuntimeError(f"estimator block [{start}, {stop}) (seed {seed}) failed: {exc}") from exc
     out = []
-    for i in range(start, stop):
-        choice = RandomChoice(RandomSource(derive_seed(seed, i)))
+    # A block starting mid-group replays the group's earlier runs.
+    group_start = start - start % RUN_GROUP
+    for i in range(group_start, stop):
+        if i % RUN_GROUP == 0:
+            choice = RandomChoice(RandomSource(derive_seed(seed, i // RUN_GROUP)))
         try:
             out.append(_walk(t, budget, dist, choice, record=False).estimate)
         except EstimateOverflow:
             raise
         except Exception as exc:
             raise RuntimeError(f"estimator run {i} (seed {seed}) failed: {exc}") from exc
-    return out
+    return out[start - group_start:]
 
 
 def run_many(
@@ -322,21 +345,25 @@ def run_many(
     seed: int,
     threads: int = 1,
 ) -> RunSummary:
-    """R independent runs on substreams derived from (seed, run index).
+    """R independent runs under stream contract v2 (see ``sampling``).
 
     The estimate list depends only on the seed, never on the worker
-    count, so summaries are reproducible under any parallelism.
+    count, so summaries are reproducible under any parallelism.  Runs
+    that fit in one chunk run in this process; otherwise one worker per
+    chunk starts, at most ``threads``.
     """
     if runs < 1:
         raise ValueError(f"need at least one run, got {runs}")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    if threads <= 1 or runs < 4:
+    # About four chunks per worker, each a whole number of run groups so
+    # that no block replays another's runs.
+    chunk = RUN_GROUP * -(-runs // (RUN_GROUP * 4 * threads)) if threads > 1 else runs
+    if chunk >= runs:
         estimates = _run_block(t, budget, dist, seed, 0, runs)
     else:
-        chunk = max(64, (runs + threads * 4 - 1) // (threads * 4))
         bounds = [(s, min(s + chunk, runs)) for s in range(0, runs, chunk)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, len(bounds))) as pool:
             blocks = list(
                 pool.map(_run_block_star, [(t, budget, dist, seed, a, b) for a, b in bounds])
             )

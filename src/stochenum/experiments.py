@@ -173,11 +173,10 @@ def _poset_task(args) -> tuple[int, int, dict]:
         estimates = _run_block(tree, budget, dist, run_seed, 0, estimates_n)
         summary = summarize(estimates)
         ratio = summary.mean / exact if cfg.verify_small and exact is not None else None
-        denom = exact if (cfg.exact_reference and exact is not None) else summary.mean
-        if denom == 0:
-            rel = None
+        if cfg.exact_reference and exact is not None:
+            rel = summary.variance / (exact * exact)
         else:
-            rel = summary.variance / (denom * denom)
+            rel = summary.rel_variance
         guard = None
         if hasattr(weight, "guard_hits"):
             guard = (weight.guard_hits, weight.evaluations)

@@ -18,7 +18,7 @@ from itertools import accumulate
 from typing import Callable, Iterable
 
 from .errors import CapExceeded, EstimateOverflow
-from .sampling import RandomSource, derive_seed
+from .sampling import RUN_GROUP, RandomSource, derive_seed
 from .tree import Hypernode, TreeOracle
 
 MAX_DP_ELEMENTS = 24  # the deleted-set table is exponential in n
@@ -286,14 +286,14 @@ class LEDecisionTree(TreeOracle):
     def fast_run_block(self, budget: int, weight, seed: int, start: int, stop: int) -> list[float]:
         """Estimates from the root for run indices [start, stop).
 
-        ``weight`` (a weight with ``child_values``) selects the induced
-        two-phase draw; None selects the uniform draw of
-        ``UniformHyperchild``.  Draw-for-draw and float-for-float identical
-        to the generic walk under the matching distribution (the
-        equivalence is pinned by tests), but tracks hypernode members as
-        deleted-set masks only.  One walk never merges two members, so the
-        path identity that node references carry is not needed inside a
-        single run.
+        Runs draw under stream contract v2 (see ``sampling``).  ``weight``
+        (a weight with ``child_values``) selects the induced two-phase
+        draw; None selects the uniform draw of ``UniformHyperchild``.
+        Draw-for-draw and float-for-float identical to the generic walk
+        under the matching distribution (the equivalence is pinned by
+        tests), but tracks hypernode members as deleted-set masks only.
+        One walk never merges two members, so the path identity that node
+        references carry is not needed inside a single run.
         """
         if budget < 1:
             raise ValueError(f"budget must be >= 1, got {budget}")
@@ -306,13 +306,16 @@ class LEDecisionTree(TreeOracle):
         # Whole expansions keyed by deleted-set mask: the mask fixes the
         # depth (its popcount), so children and weights are mask-pure.
         expansion: dict = {}
-        # One generator reseeded per run yields the same stream as a fresh
-        # Random(derive_seed(seed, run)) without constructing one.
+        # One generator reseeded per run group yields the same stream as a
+        # fresh Random(derive_seed(seed, group)) without constructing one.
         rng = random.Random()
         rand = rng.random
         out = []
-        for run in range(start, stop):
-            rng.seed(derive_seed(seed, run))
+        # A block starting mid-group replays the group's earlier runs.
+        group_start = start - start % RUN_GROUP
+        for run in range(group_start, stop):
+            if run % RUN_GROUP == 0:
+                rng.seed(derive_seed(seed, run // RUN_GROUP))
             members = (0,)
             size = 1
             depth = 0
@@ -400,7 +403,7 @@ class LEDecisionTree(TreeOracle):
                 members = [succ[i] for i in chosen] if m > 1 else (succ[chosen[0]],)
                 size = m
             out.append(total)
-        return out
+        return out[start - group_start:]
 
 
 class _TreeWeight:

@@ -4,6 +4,7 @@ import csv
 import functools
 import io
 import json
+import math
 
 import pytest
 from explicit_distribution import ExplicitDistribution
@@ -90,6 +91,18 @@ def test_estimate_overflow_exit_code(tmp_path, capsys):
         code, out, err = run_cli(capsys, "--threads", threads, "estimate", "--poset", str(anti), "--runs", "8")
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and "overflow" in err and "Traceback" not in err
+
+
+def test_estimate_with_squares_beyond_double_range(tmp_path, capsys):
+    # Estimates near 1e198 are finite, but their squares are not.
+    path = tmp_path / "p.poset"
+    assert run_cli(capsys, "--seed", "3", "gen-poset", "--n", "120", "--p", "0.01", "--out", str(path))[0] == 0
+    code, out, err = run_cli(capsys, "estimate", "--poset", str(path), "--runs", "50")
+    assert code == 0 and "Traceback" not in err
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert row["variance"] == "inf"
+    for field in ("mean", "rel_variance", "stderr"):
+        assert math.isfinite(float(row[field]))
 
 
 def test_bad_poset_file_exit_code(tmp_path, capsys):

@@ -8,6 +8,7 @@ from explicit_distribution import ExplicitDistribution
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stochenum import estimators
 from stochenum.analysis import enumerate_distribution
 from stochenum.errors import EstimateOverflow
 from stochenum.estimators import (
@@ -21,7 +22,7 @@ from stochenum.estimators import (
     summarize,
 )
 from stochenum.posets import LEDecisionTree, Poset, importance_function, random_poset
-from stochenum.sampling import RandomChoice, RandomSource, ScriptedChoice, derive_seed
+from stochenum.sampling import RUN_GROUP, RandomChoice, RandomSource, ScriptedChoice, derive_seed
 from stochenum.tree import (
     ExplicitTree,
     Hypernode,
@@ -34,6 +35,17 @@ from stochenum.tree import (
 def chain_tree(height):
     children = {i: (i + 1,) for i in range(height)}
     return ExplicitTree(children, roots=(0,))
+
+
+def contract_walks(t, budget, dist, seed, runs):
+    """Stream contract v2 spelled out on the generic walk: one choice
+    source per group of RUN_GROUP runs, consumed in run order."""
+    out = []
+    for i in range(runs):
+        if i % RUN_GROUP == 0:
+            choice = RandomChoice(RandomSource(derive_seed(seed, i // RUN_GROUP)))
+        out.append(_walk(t, budget, dist, choice, record=False))
+    return out
 
 
 def test_uniform_budget2_scripted_replay():
@@ -213,6 +225,29 @@ def test_summarize_basic():
     assert s.rel_variance == 0.25
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.just(0.0), st.floats(1e-100, 1e100)), min_size=2, max_size=30))
+def test_summarize_scaling_is_exact(estimates):
+    # The plain formulas, which run unscaled in this range.
+    n = len(estimates)
+    mean = math.fsum(estimates) / n
+    var = math.fsum((x - mean) ** 2 for x in estimates) / (n - 1)
+    s = summarize(estimates)
+    assert (s.mean, s.variance, s.stderr) == (mean, var, math.sqrt(var / n))
+    assert s.rel_variance == (var / (mean * mean) if mean else None)
+
+
+def test_summarize_estimates_beyond_square_range():
+    # Their squares, and the plain sum of the first three, overflow.
+    s = summarize([1.5e308, 0.5e308, 1e308])
+    assert (s.mean, s.stderr, s.rel_variance) == (1e308, 2.8867513459481287e307, 0.25)
+    assert s.variance == math.inf
+    # The squared mean of these underflows to zero.
+    tiny = math.ldexp(1.0, -1070)
+    s = summarize([tiny, 3 * tiny])
+    assert (s.mean, s.stderr, s.rel_variance) == (2 * tiny, tiny, 0.5)
+
+
 def test_summarize_single_run_flags():
     s = summarize([3.0])
     assert s.runs == 1 and s.mean == 3.0
@@ -235,10 +270,11 @@ def test_run_many_thread_count_invariance():
         return run_many(tree, 3, dist, 400, 11, threads=threads)
 
     for n, p, seed in ((8, 0.2, 5), (40, 0.05, 3)):
-        assert summary(n, p, seed, 1) == summary(n, p, seed, 2)
+        assert summary(n, p, seed, 1) == summary(n, p, seed, 2) == summary(n, p, seed, 3)
 
 
-# Each example starts a 2-process pool; past 64 runs both workers get a chunk.
+# Past 64 runs the runs split into two to four chunks, so each example
+# starts a pool of 2 workers and one of up to 3.
 @settings(max_examples=8, deadline=None)
 @given(
     n=st.integers(6, 14),
@@ -254,7 +290,7 @@ def test_run_many_thread_invariance_property(n, p, seed, kind, budget, runs):
         dist = ImportanceInduced(importance_function(tree, kind))
         return run_many(tree, budget, dist, runs, seed, threads=threads)
 
-    assert summary(1) == summary(2)
+    assert summary(1) == summary(2) == summary(3)
 
 
 def test_fast_block_independent_of_block_order():
@@ -269,32 +305,77 @@ def test_fast_block_independent_of_block_order():
     assert early + late == fresh_block(0, 200)
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    cuts=st.lists(st.integers(0, 200), max_size=4),
+    kind=st.sampled_from(("uniform", "f2", "f3")),
+    budget=st.integers(1, 3),
+)
+def test_run_blocks_split_anywhere_concatenate(cuts, kind, budget):
+    # Blocks may start and stop mid-group; a weight without child_values
+    # sends _run_block down the generic walk.
+    tree = LEDecisionTree(random_poset(9, 0.2, 5))
+    w = importance_function(tree, kind)
+    generic = ImportanceInduced(lambda node: w(node))
+    whole = tree.fast_run_block(budget, w, 13, 0, 200)
+    bounds = list(zip([0, *sorted(cuts)], [*sorted(cuts), 200]))
+    assert [x for a, b in bounds for x in tree.fast_run_block(budget, w, 13, a, b)] == whole
+    assert [x for a, b in bounds for x in _run_block(tree, budget, generic, 13, a, b)] == whole
+
+
+def test_run_many_starts_no_idle_workers(monkeypatch):
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(estimators, "ProcessPoolExecutor", InlinePool)
+    tree = LEDecisionTree(random_poset(10, 0.2, 1))
+    dist = UniformHyperchild()
+    # 50 runs fit in one chunk, so they run in this process.
+    assert run_many(tree, 2, dist, 50, 7, threads=2) == run_many(tree, 2, dist, 50, 7)
+    assert started == []
+    # 130 runs make chunks of 64, 64 and 2: three workers, not eight.
+    assert run_many(tree, 2, dist, 130, 7, threads=8) == run_many(tree, 2, dist, 130, 7)
+    assert started == [3]
+
+
 def test_uniform_run_many_golden_means():
-    # Means recorded from the generic walk before uniform runs moved to
-    # the mask-only walk; the move must not change a single bit.
+    # Means recorded under stream contract v2; they change only with the
+    # contract or with the draw.
     tree = LEDecisionTree(random_poset(20, 0.2, 7))
-    assert repr(run_many(tree, 1, UniformHyperchild(), 500, 42).mean) == "1108271259.648"
-    assert repr(run_many(tree, 5, UniformHyperchild(), 500, 42).mean) == "725301964.4669158"
+    assert repr(run_many(tree, 1, UniformHyperchild(), 500, 42).mean) == "850379442.048"
+    assert repr(run_many(tree, 5, UniformHyperchild(), 500, 42).mean) == "794018565.4913888"
 
 
 def test_weighted_run_many_golden_means():
-    # Means and f3 counters recorded before weights moved to one
-    # child_values call per expansion; the move must not change a bit.
+    # Means and f3 counters recorded under stream contract v2; they change
+    # only with the contract, the draw or the weights.
     def run(poset, kind, budget, runs):
         tree = LEDecisionTree(poset)
         w = importance_function(tree, kind)
         return repr(run_many(tree, budget, ImportanceInduced(w), runs, 11).mean), w
 
     p20 = random_poset(20, 0.2, 7)
-    assert run(p20, "f1", 5, 300)[0] == "794920522.6620209"
-    assert run(p20, "f2", 5, 300)[0] == "805994730.8032359"
+    assert run(p20, "f1", 5, 300)[0] == "733050394.3420141"
+    assert run(p20, "f2", 5, 300)[0] == "787529072.1630517"
     mean, w = run(p20, "f3", 5, 300)
-    assert mean == "730671142.9412217" and (w.evaluations, w.guard_hits) == (84268, 8906)
+    assert mean == "787578652.741355" and (w.evaluations, w.guard_hits) == (84643, 8809)
     assert run(p20, "ideal", 5, 300)[0] == "818833212.0"
     p40 = random_poset(40, 0.05, 3)
-    assert run(p40, "f2", 3, 100)[0] == "2.739752099011902e+38"
+    assert run(p40, "f2", 3, 100)[0] == "2.5169391778672053e+38"
     mean, w = run(p40, "f3", 3, 100)
-    assert mean == "4.4915212201304435e+38" and (w.evaluations, w.guard_hits) == (120665, 1054)
+    assert mean == "4.2135052653206385e+38" and (w.evaluations, w.guard_hits) == (120633, 1034)
 
 
 def test_run_many_mean_near_truth():
@@ -322,35 +403,29 @@ def test_run_many_propagates_errors_with_context():
 
 
 def test_fast_block_matches_generic_walk_bitwise():
-    # kind None is the uniform draw of UniformHyperchild.
+    # kind None is the uniform draw of UniformHyperchild.  150 runs span
+    # three run groups, the last one partial.
     for seed in (3, 5):
         p = random_poset(9, 0.2, seed)
         tree = LEDecisionTree(p)
         for kind in (None, "uniform", "f1", "f2", "f3", "ideal"):
             for budget in (1, 2, 4):
                 if kind is None:
-                    fast = tree.fast_run_block(budget, None, 31, 0, 60)
+                    fast = tree.fast_run_block(budget, None, 31, 0, 150)
                     dist = UniformHyperchild()
                 else:
-                    fast = tree.fast_run_block(budget, importance_function(tree, kind), 31, 0, 60)
+                    fast = tree.fast_run_block(budget, importance_function(tree, kind), 31, 0, 150)
                     dist = ImportanceInduced(importance_function(tree, kind))
-                gen = [
-                    _walk(tree, budget, dist,
-                          RandomChoice(RandomSource(derive_seed(31, i))), record=False).estimate
-                    for i in range(60)
-                ]
-                assert fast == gen
+                assert fast == [traj.estimate for traj in contract_walks(tree, budget, dist, 31, 150)]
 
 
 def test_fast_block_guard_counters_match_generic():
     p = random_poset(9, 0.2, 8)
     tree = LEDecisionTree(p)
     w_fast = importance_function(tree, "f3")
-    tree.fast_run_block(3, w_fast, 17, 0, 80)
+    tree.fast_run_block(3, w_fast, 17, 0, 150)
     w_gen = importance_function(tree, "f3")
-    for i in range(80):
-        _walk(tree, 3, ImportanceInduced(w_gen),
-              RandomChoice(RandomSource(derive_seed(17, i))), record=False)
+    contract_walks(tree, 3, ImportanceInduced(w_gen), 17, 150)
     assert (w_fast.evaluations, w_fast.guard_hits) == (w_gen.evaluations, w_gen.guard_hits)
 
 

@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from stochenum.estimators import ImportanceInduced
+from stochenum.estimators import ImportanceInduced, UniformHyperchild, _run_block
 from stochenum.sampling import (
+    RUN_GROUP,
     NonpositiveWeight,
     RandomChoice,
     RandomSource,
@@ -17,6 +18,7 @@ from stochenum.sampling import (
     ScriptError,
     derive_seed,
 )
+from stochenum.tree import ExplicitTree
 
 
 def two_phase_exact_marginals(weights, budget):
@@ -43,19 +45,33 @@ def test_derive_seed_is_stable_and_spreads():
 
 
 def test_run_stream_contract_pinned():
-    # Run i of seed s draws from MT19937 seeded with derive_seed(s, i);
-    # estimates for a seed stay reproducible only while this holds.
-    seed = derive_seed(42, 3)
-    assert seed == 203723433015459821948931052328681415437
-    first = [0.029771095318357643, 0.481238030311271, 0.6980478309714604]
-    src = RandomSource(seed)
-    assert [src.random() for _ in range(3)] == first
-    # Reseeding a used generator, as the mask-only walk does per run,
+    # Stream contract v2: run i of seed s is run i mod RUN_GROUP of group
+    # i // RUN_GROUP, and each group draws from MT19937 seeded with
+    # derive_seed(s, group); estimates for a seed stay reproducible only
+    # while this holds.
+    assert RUN_GROUP == 64
+    group0, group1 = derive_seed(42, 0), derive_seed(42, 1)
+    assert group0 == 112253681344900233918653361185627361969
+    assert group1 == 5140218053876174411153749337935443801
+    first0 = [0.8715119825736003, 0.4485541135917114, 0.6289987111350034]
+    first1 = [0.8205361739064723, 0.22867384686340797, 0.17397329561519315]
+    src = RandomSource(group0)
+    assert [src.random() for _ in range(3)] == first0
+    src = RandomSource(group1)
+    assert [src.random() for _ in range(3)] == first1
+    # Reseeding a used generator, as the mask-only walk does per group,
     # restarts exactly this stream.
     rng = random.Random(7)
     rng.random()
-    rng.seed(seed)
-    assert [rng.random() for _ in range(3)] == first
+    rng.seed(group1)
+    assert [rng.random() for _ in range(3)] == first1
+    # The runs of a group take its draws in order.  At budget 1 under a
+    # zero-cost root with ten leaves costing 0..9, a run makes one draw u
+    # and estimates 10 * int(10 u).
+    tree = ExplicitTree({"r": tuple(range(10))}, roots=("r",), costs={"r": 0, **{i: i for i in range(10)}})
+    estimates = _run_block(tree, 1, UniformHyperchild(), 42, 0, 67)
+    assert estimates[:3] == [10.0 * int(10 * u) for u in first0]
+    assert estimates[64:] == [10.0 * int(10 * u) for u in first1]
 
 
 def test_random_source_determinism():
