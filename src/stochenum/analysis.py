@@ -1,28 +1,29 @@
 """Exact analysis of estimator distributions on small instances.
 
-Everything here enumerates exponential spaces and is meant as a test
-oracle: the full outcome distribution of a walk (every hypernode
-sequence, its probability, and the estimate it would produce), the
-recursive closed forms for variance and squared coefficient of
-variation, and the alpha diagnostic.  The draw enters only through
-``dist.support``, which gives each candidate hyperchild w of a
-successor union S its exact probability P(w).  An alpha step is the
-zero-variance draw's probability of w over P(w), c(w) / (c(S) *
-C(|S|-1, |w|-1) * P(w)) with c the subtree cost; under
-``ImportanceInduced`` it is the paper's (r(S)/r(w)) * (c(w)/c(S)).
+Everything here is exact and meant as a test oracle: the full outcome
+distribution of a walk (every hypernode sequence, its probability, and
+the estimate it would produce), and the hyperchild recursions for the
+variance, the squared coefficient of variation and the alpha
+diagnostic.  The draw enters only through ``dist.support``, which gives
+each candidate hyperchild w of a successor union S its exact
+probability P(w).  An alpha step is the zero-variance draw's
+probability of w over P(w), c(w) / (c(S) * C(|S|-1, |w|-1) * P(w)) with
+c the subtree cost; under ``ImportanceInduced`` it is the paper's
+(r(S)/r(w)) * (c(w)/c(S)).
 
 Every result is exact: each float input (cost, weight) is the rational
 it denotes, so identities hold with zero tolerance.  The arithmetic runs
 on plain integers: a successor union's subtree costs go on one common
 integer scale (``estimators.integer_scale``), the enumeration carries
-probability, D product, running total and alpha down each path as
-unreduced numerator/denominator pairs, and the recursions sum a
-hypernode's candidates over one common denominator.  A ``Fraction`` is
-built only where a value leaves that loop: per outcome, per memo entry,
-and for the returned moments and maxima.  All enumerations count
-against explicit caps and raise CapExceeded rather than truncating.
+probability, D product and running total down each path as unreduced
+numerator/denominator pairs, and the recursions sum a hypernode's
+candidates over one common denominator.  A value is reduced only where
+it leaves that loop: per outcome, per memo entry, and for the returned
+moments and maxima.  All enumerations count against explicit caps and
+raise CapExceeded rather than truncating.
 
-The recursions (sequence count, variance, CV^2) memoize per hypernode.
+The recursions (sequence count, variance, CV^2, alpha) memoize per
+hypernode, so alpha reaches instances far past any enumeration.
 When the oracle defines ``state`` (see ``TreeOracle``) and the draw is
 ``UniformHyperchild`` or ``ImportanceInduced`` of a weight with
 ``child_values`` (the mark of a weight that is a function of the node's
@@ -86,13 +87,23 @@ def _expand(t: TreeOracle, nodes, budget: int, subcost=None) -> _Expansion | Non
     return _Expansion(succ, take, comb(len(succ) - 1, take - 1), c_of, c_all, c_den)
 
 
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
 def _add(sn: int, sd: int, n: int, d: int) -> tuple[int, int]:
     """sn/sd + n/d in lowest terms, for positive denominators."""
     g = math.gcd(sd, d)
-    num = sn * (d // g) + n * (sd // g)
-    den = sd // g * d
-    g = math.gcd(num, den)
-    return num // g, den // g
+    return _reduced(sn * (d // g) + n * (sd // g), sd // g * d)
+
+
+def _add_unreduced(sn: int, sd: int, n: int, d: int) -> tuple[int, int]:
+    """sn/sd + n/d over lcm(sd, d), for positive denominators."""
+    if d == sd:
+        return sn + n, sd
+    g = math.gcd(sd, d)
+    return sn * (d // g) + n * (sd // g), sd // g * d
 
 
 def _memo_key(t: TreeOracle, dist: HypernodeDistribution):
@@ -135,25 +146,18 @@ class Outcome:
 
     probability: object
     estimate: object
-    alpha: object | None = None
     sequence: tuple | None = None
 
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Every outcome of a walk, with exact moments of the estimate.
-
-    ``level_max`` holds, per depth, the largest single-step alpha factor
-    over every (hypernode, candidate) pair the walk can reach there; it
-    is empty unless the enumeration was asked for ``alpha``.
-    """
+    """Every outcome of a walk, with exact moments of the estimate."""
 
     outcomes: tuple[Outcome, ...]
     mean: object
     variance: object
     cv2: object | None
     total_probability: object
-    level_max: tuple
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -195,7 +199,6 @@ def enumerate_distribution(
     budget: int,
     dist: HypernodeDistribution,
     max_sequences: int = DEFAULT_SEQUENCE_CAP,
-    alpha: bool = False,
     keep_sequences: bool = False,
 ) -> OutcomeDistribution:
     """Depth-first enumeration of every walk outcome under ``dist``.
@@ -205,12 +208,6 @@ def enumerate_distribution(
     factors are kept by member tuple and reused on every path that reaches
     it.  Each outcome records the exact probability of its hypernode
     sequence and the exact estimate the walk arithmetic assigns to it.
-    With ``alpha``, the sequence's alpha value is recorded too: the
-    product over levels of c(w) / (c(S) * C(|S|-1, |w|-1) * P(w)), the
-    zero-variance draw's probability of the chosen hypernode w over its
-    probability P(w) under ``dist`` (see the module docstring).  The empty
-    product is 1, and the zero-variance draw itself gives 1 at every step.
-    The per-depth maxima of the single-step factors go to ``level_max``.
 
     ``dist.support`` may yield any rational probability (anything with
     ``numerator`` and ``denominator``).
@@ -218,118 +215,72 @@ def enumerate_distribution(
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     root = t.root_hypernode
-    subcost = subtree_cost_function(t, Fraction) if alpha else None
     size0 = len(root)
     outcomes = []
-    level_max = []  # per depth, the largest factor as (numerator, positive denominator)
     candidates_of: dict = {}  # member tuple -> its candidates' step factors, None when terminal
     count = 0
 
-    def candidates(nodes, depth):
+    def candidates(nodes):
         """Per candidate w of size m with P(w) = pn/pd: (w, pn, pd, m * pd,
-        f = |v| * C(|S|-1, m-1) * pn, k_sel, k_den * m, the alpha step as
-        fn/fd, the Hypernode when sequences are kept); None when terminal.
-        A hypernode's depth is fixed, so its steps enter ``level_max`` here."""
-        exp = _expand(t, nodes, budget, subcost)
+        f = |v| * C(|S|-1, m-1) * pn, k_sel, k_den * m, the Hypernode when
+        sequences are kept); None when terminal."""
+        exp = _expand(t, nodes, budget)
         if exp is None:
             return None
-        if alpha and exp.c_all == 0:
-            raise AlphaUndefined(f"successor forest of {nodes!r} has zero total cost; alpha undefined")
         costs, k_den = integer_scale([t.cost(x) for x in exp.succ])
         k_of = dict(zip(exp.succ, costs))
         size_binom = len(nodes) * exp.binom
-        out = []
-        for wnodes, p in dist.support(exp.succ, budget):
-            m = len(wnodes)
-            fn = fd = 1
-            if alpha:
-                # c(w) / (c(S) * C(|S|-1, |w|-1) * P(w))
-                fn = sum(exp.c_of[x] for x in wnodes) * p.denominator
-                fd = exp.c_all * exp.binom * p.numerator
-                if fd < 0:
-                    fn, fd = -fn, -fd
-                if depth == len(level_max):
-                    level_max.append((fn, fd))
-                elif fn * level_max[depth][1] > level_max[depth][0] * fd:
-                    level_max[depth] = (fn, fd)
-            out.append((
-                wnodes, p.numerator, p.denominator, m * p.denominator, size_binom * p.numerator,
-                sum(k_of[x] for x in wnodes), k_den * m, fn, fd, Hypernode(wnodes) if keep_sequences else None,
-            ))
-        return out
+        return [
+            (
+                wnodes, p.numerator, p.denominator, len(wnodes) * p.denominator, size_binom * p.numerator,
+                sum(k_of[x] for x in wnodes), k_den * len(wnodes), Hypernode(wnodes) if keep_sequences else None,
+            )
+            for wnodes, p in dist.support(exp.succ, budget)
+        ]
 
     # Unreduced integer pairs down the recursion: probability pn/pd, D
-    # product dn/dd, alpha an/ad, and the running total tn / (dd * tq),
-    # whose denominator keeps dd's so that it grows by one level's factors
-    # per level.
-    def rec(nodes, depth, pn, pd, dn, dd, tn, tq, an, ad, seq):
+    # product dn/dd, and the running total tn / (dd * tq), whose
+    # denominator keeps dd's so that it grows by one level's factors per
+    # level.
+    def rec(nodes, pn, pd, dn, dd, tn, tq, seq):
         nonlocal count
         if nodes not in candidates_of:
-            candidates_of[nodes] = candidates(nodes, depth)
+            candidates_of[nodes] = candidates(nodes)
         cands = candidates_of[nodes]
         if cands is None:
             count += 1
             if count > max_sequences:
                 raise CapExceeded(f"more than {max_sequences} hypernode sequences")
-            outcomes.append(Outcome(Fraction(pn, pd), Fraction(size0 * tn, dd * tq), Fraction(an, ad), seq))
+            outcomes.append(Outcome(Fraction(pn, pd), Fraction(size0 * tn, dd * tq), seq))
             return
-        for wnodes, p_num, p_den, m_den, f, k_sel, k_m, fn, fd, hyper in cands:
+        for wnodes, p_num, p_den, m_den, f, k_sel, k_m, hyper in cands:
             # d_k = m / (|v| * C(|S|-1, m-1) * p)
             dn2 = dn * m_den
             if k_sel:  # total += (k_sel / (k_den * m)) * D
                 tn2, tq2 = tn * f * k_m + k_sel * dn2 * tq, tq * k_m
             else:
                 tn2, tq2 = tn * f, tq
-            rec(
-                wnodes, depth + 1, pn * p_num, pd * p_den, dn2, dd * f, tn2, tq2, an * fn, ad * fd,
-                seq + (hyper,) if seq is not None else None,
-            )
+            rec(wnodes, pn * p_num, pd * p_den, dn2, dd * f, tn2, tq2, seq + (hyper,) if seq is not None else None)
 
     costs, k_den = integer_scale([t.cost(v) for v in root.nodes])
     try:
-        rec(root.nodes, 0, 1, 1, 1, 1, sum(costs), k_den * size0, 1, 1, (root,) if keep_sequences else None)
+        rec(root.nodes, 1, 1, 1, 1, sum(costs), k_den * size0, (root,) if keep_sequences else None)
     finally:
         del rec  # rec refers to itself: break that cycle so the tree and memos free now
 
     total_p, mean, variance = _moments((o.probability, o.estimate) for o in outcomes)
     cv2 = variance / (mean * mean) if mean != 0 else None
-    return OutcomeDistribution(
-        tuple(outcomes), mean, variance, cv2, total_p, tuple(Fraction(n, d) for n, d in level_max),
-    )
+    return OutcomeDistribution(tuple(outcomes), mean, variance, cv2, total_p)
 
 
 @dataclass(frozen=True)
 class AlphaStats:
-    """Moments and maxima of alpha under the draw it was enumerated for."""
+    """Moments and maxima of alpha under the draw it was computed for."""
 
     mean: object
     variance: object
     max_value: object
     level_max_product: object
-    sequences: int
-
-    @classmethod
-    def from_distribution(cls, od: OutcomeDistribution) -> "AlphaStats":
-        """Alpha moments of an enumeration made with ``alpha``."""
-        _, mean, var = _moments((o.probability, o.alpha) for o in od.outcomes)
-        max_alpha = max(o.alpha for o in od.outcomes)
-        return cls(mean, var, max_alpha, math.prod(od.level_max, start=Fraction(1)), len(od.outcomes))
-
-
-def alpha_stats(
-    t: TreeOracle,
-    budget: int,
-    dist: HypernodeDistribution,
-    max_sequences: int = DEFAULT_SEQUENCE_CAP,
-) -> AlphaStats:
-    """Full enumeration of alpha over the walk under ``dist``.
-
-    Reports the exact expectation (1 when everything is correct), the
-    variance and the maximum over all sequences, plus the looser bound
-    built from per-level maxima of single-step factors over every
-    reachable hypernode.
-    """
-    return AlphaStats.from_distribution(enumerate_distribution(t, budget, dist, max_sequences, alpha=True))
 
 
 def _hypernode_recursion(t, budget, max_states, key, step, subcost=None):
@@ -438,6 +389,65 @@ def recursive_cv2(
         return unnormalized / (cost_v * cost_v)
 
     return _hypernode_recursion(t, budget, max_states, _memo_key(t, dist), step, subcost)
+
+
+def alpha_stats(
+    t: TreeOracle,
+    budget: int,
+    dist: HypernodeDistribution,
+    max_states: int = DEFAULT_STATE_CAP,
+) -> AlphaStats:
+    """Moments and maxima of alpha under ``dist`` by the hyperchild recursion.
+
+    Alpha is the product over levels of step(w) = c(w) / (c(S) *
+    C(|S|-1, |w|-1) * P(w)) (see the module docstring).  Per hypernode,
+    over the candidates w of ``dist`` and with 1 at terminal hypernodes,
+    E[alpha] = sum_w P(w) step(w) E[alpha](w), where P(w) step(w) needs no
+    P(w); E[alpha^2] = sum_w P(w) step(w)^2 E[alpha^2](w); and, as node
+    costs are nonnegative, max alpha = max_w step(w) max alpha(w).  Each
+    hypernode also yields its largest step per depth below it; a
+    hypernode's depth is fixed, so the root's are the per-level maxima
+    whose product bounds max alpha.  Memoized as ``recursive_cv2`` is;
+    raises AlphaUndefined at a reachable successor forest of zero cost.
+    """
+
+    def step(nodes, exp, value_of):
+        # E[alpha], E[alpha^2], max alpha and each depth's step maximum as
+        # reduced integer pairs
+        if exp is None:
+            return (1, 1), (1, 1), (1, 1), ()
+        if exp.c_all == 0:
+            raise AlphaUndefined(f"successor forest of {nodes!r} has zero total cost; alpha undefined")
+        # With k = c_den * c(S) * C(|S|-1, |w|-1), c(w) = c / c_den and P(w) =
+        # pn / pd: P(w) step(w) = c / k and step(w) = c * pd / (pn * k).  Sums
+        # stay unreduced over k, and this level's maxima compare without k,
+        # until one reduction per value.
+        e1n, e1d, e2n, e2d = 0, 1, 0, 1
+        top = None
+        level_max = []
+        for sub, p in dist.support(exp.succ, budget):
+            (a1n, a1d), (a2n, a2d), (bn, bd), levels = value_of(sub)
+            c = sum(exp.c_of[x] for x in sub)
+            sn, sd = c * p.denominator, p.numerator
+            e1n, e1d = _add_unreduced(e1n, e1d, c * a1n, a1d)
+            e2n, e2d = _add_unreduced(e2n, e2d, c * sn * a2n, sd * a2d)
+            n, d = sn * bn, sd * bd
+            if top is None or n * top[1] > top[0] * d:
+                top = n, d
+            for i, (n, d) in enumerate(((sn, sd), *levels)):
+                if i == len(level_max):
+                    level_max.append((n, d))
+                elif n * level_max[i][1] > level_max[i][0] * d:
+                    level_max[i] = n, d
+        k = exp.c_all * exp.binom
+        level_max[0] = _reduced(level_max[0][0], level_max[0][1] * k)
+        return _reduced(e1n, e1d * k), _reduced(e2n, e2d * k * k), _reduced(top[0], top[1] * k), tuple(level_max)
+
+    subcost = subtree_cost_function(t, Fraction)
+    a1, a2, top, levels = _hypernode_recursion(t, budget, max_states, _memo_key(t, dist), step, subcost)
+    mean = Fraction(*a1)
+    product = math.prod((Fraction(*lv) for lv in levels), start=Fraction(1))
+    return AlphaStats(mean, Fraction(*a2) - mean * mean, Fraction(*top), product)
 
 
 def cost_split_identity(t: TreeOracle, h: Hypernode, budget: int):

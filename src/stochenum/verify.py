@@ -9,11 +9,10 @@ zero-variance property of exact-cost weights.  The CLI exposes this as a
 user-facing command; the test suite calls the same functions.
 
 The exact checks (unbiasedness, the variance forms, alpha) take lists
-of ``Cell``: one (instance, budget, draw) each, whose enumeration (which
-under an ``ImportanceInduced`` draw also yields the alpha moments),
-variance recursion and CV^2 recursion run on first use and are kept as
-scalars.  ``run_checks`` builds each cell once and hands the same object
-to every check that reads it, so each is analyzed once.
+of ``Cell``: one (instance, budget, draw) each, whose enumeration,
+variance recursion, CV^2 recursion and alpha recursion run on first use
+and are kept as scalars.  ``run_checks`` builds each cell once and hands
+the same object to every check that reads it, so each is analyzed once.
 """
 
 from __future__ import annotations
@@ -22,12 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-# alpha_stats is not called here (a Cell reads the alpha moments off its
-# one enumeration), but stays bound in this module with the other
-# analysis entry points for instrumentation that wraps them here.
-from .analysis import (  # noqa: F401
+from .analysis import (
     AlphaStats,
-    AlphaUndefined,
     alpha_stats,
     bounds_csv_row,
     cost_split_identity,
@@ -238,11 +233,10 @@ class Cell:
 
     Each part is computed on first use and kept, so every check that
     reads a cell shares one analysis of it: ``cost`` is the exact forest
-    cost; ``enumeration`` is (mean, total probability, variance, alpha)
-    of the outcome distribution, where alpha is the AlphaStats of an
-    ``ImportanceInduced`` draw (or the AlphaUndefined its enumeration
-    raised) and None under any other draw; ``variance`` and ``cv2`` are
-    the recursions.  Only scalars are kept, never the outcomes.
+    cost; ``enumeration`` is (mean, total probability, variance) of the
+    outcome distribution, capped at ``max_sequences``; ``variance``,
+    ``cv2`` and ``alpha`` are the recursions.  Only scalars are kept,
+    never the outcomes.
     """
 
     def __init__(self, label: str, t, budget: int, draw_label: str, dist, max_sequences: int):
@@ -258,17 +252,8 @@ class Cell:
 
     @cached_property
     def enumeration(self) -> tuple:
-        args = self.t, self.budget, self.dist, self.max_sequences
-        alpha = None
-        if isinstance(self.dist, ImportanceInduced):
-            try:
-                od = enumerate_distribution(*args, alpha=True)
-                return od.mean, od.total_probability, od.variance, AlphaStats.from_distribution(od)
-            except AlphaUndefined as exc:
-                # the estimate's moments are still defined; only the alpha check raises
-                alpha = exc
-        od = enumerate_distribution(*args)
-        return od.mean, od.total_probability, od.variance, alpha
+        od = enumerate_distribution(self.t, self.budget, self.dist, self.max_sequences)
+        return od.mean, od.total_probability, od.variance
 
     @cached_property
     def variance(self) -> Fraction:
@@ -278,12 +263,16 @@ class Cell:
     def cv2(self) -> Fraction:
         return recursive_cv2(self.t, self.budget, self.dist)
 
+    @cached_property
+    def alpha(self) -> AlphaStats:
+        return alpha_stats(self.t, self.budget, self.dist)
+
 
 def check_unbiasedness(cells) -> CheckResult:
     """Enumerated expectation equals exact forest cost, exactly."""
     res = CheckResult("unbiasedness of enumerated expectation")
     for cell in cells:
-        mean, total_probability, _, _ = cell.enumeration
+        mean, total_probability, _ = cell.enumeration
         res.instances += 1
         if total_probability != 1:
             res.fail(f"{cell}: probabilities sum to {total_probability}")
@@ -317,9 +306,9 @@ def check_alpha_suite(cells, bounds_sink=None) -> CheckResult:
     """
     res = CheckResult("alpha diagnostics and bounds")
     for cell in cells:
-        stats = cell.enumeration[3]
-        if not isinstance(stats, AlphaStats):  # the AlphaUndefined kept, or None under another draw
-            raise stats or ValueError(f"{cell}: alpha needs an ImportanceInduced draw")
+        if not isinstance(cell.dist, ImportanceInduced):
+            raise ValueError(f"{cell}: alpha needs an ImportanceInduced draw")
+        stats = cell.alpha
         cv2 = cell.cv2
         res.instances += 1
         if stats.mean != 1:
@@ -365,7 +354,7 @@ def check_zero_variance(instances, budgets, runs, seed) -> CheckResult:
 
 
 def run_checks(
-    max_n: int = 6,
+    max_n: int = 7,
     max_budget: int = 3,
     posets: int = 12,
     seed: int = DEFAULT_SEED,

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -149,12 +150,14 @@ def test_budget_below_one_is_rejected(call, budget):
 def test_alpha_base_cases():
     # A one-node forest has one outcome, with the empty product 1.
     leaf = ExplicitTree({}, roots=("v",))
-    od = enumerate_distribution(leaf, 2, ImportanceInduced(UNIFORM), alpha=True, keep_sequences=True)
-    assert [(o.sequence, o.alpha) for o in od.outcomes] == [((Hypernode(("v",)),), 1)]
+    assert reference_alpha(leaf, 2, ImportanceInduced(UNIFORM)) == ([1], [])
+    st = alpha_stats(leaf, 2, ImportanceInduced(UNIFORM))
+    assert (st.mean, st.variance, st.max_value, st.level_max_product) == (1, 0, 1, 1)
     t = fixture_example_tree()
-    ideal = lambda node: float(_fixture_subtree(node))
-    od = enumerate_distribution(t, 2, ImportanceInduced(ideal), alpha=True)
-    assert all(o.alpha == 1 for o in od.outcomes)
+    ideal = ImportanceInduced(lambda node: float(_fixture_subtree(node)))
+    alphas, _ = reference_alpha(t, 2, ideal)
+    assert len(alphas) == 11 and all(a == 1 for a in alphas)
+    assert alpha_stats(t, 2, ideal).max_value == 1
 
 
 def test_alpha_on_worked_weighted_trajectory():
@@ -165,15 +168,18 @@ def test_alpha_on_worked_weighted_trajectory():
         Hypernode(("a",)), Hypernode(("b", "c")), Hypernode(("d", "e")),
         Hypernode(("h", "i")), Hypernode(("m",)),
     )
-    od = enumerate_distribution(t, 2, ImportanceInduced(w), alpha=True, keep_sequences=True)
-    assert [o.alpha for o in od.outcomes if o.sequence == seq] == [Fraction(10, 11)]
+    # the reference lists alphas in the enumeration's depth-first order
+    od = enumerate_distribution(t, 2, ImportanceInduced(w), keep_sequences=True)
+    alphas, _ = reference_alpha(t, 2, ImportanceInduced(w))
+    assert len(alphas) == len(od)
+    assert [a for o, a in zip(od.outcomes, alphas) if o.sequence == seq] == [Fraction(10, 11)]
 
 
 def test_alpha_rejects_nonpositive_weight():
     t = fixture_example_tree()
     bad = lambda node: -1.0 if node == "c" else 1.0
     with pytest.raises(NonpositiveWeight) as err:
-        enumerate_distribution(t, 2, ImportanceInduced(bad), alpha=True, keep_sequences=True)
+        alpha_stats(t, 2, ImportanceInduced(bad))
     assert err.value.node == "c"
 
 
@@ -204,6 +210,20 @@ def test_alpha_bound_chain_fixture():
         assert cv2 <= st.max_value - 1
         assert cv2 <= st.level_max_product - 1
         assert st.variance + st.mean ** 2 <= st.max_value * st.mean
+
+
+def test_alpha_stats_beyond_enumeration():
+    # 46 million hypernode sequences, far past verify's enumeration cap;
+    # the recursion visits each state once.
+    tree = LEDecisionTree(random_poset(8, 0.2, 2))
+    dist = ImportanceInduced(importance_function(tree, "f3"))
+    with pytest.raises(CapExceeded):
+        count_sequences(tree, 2, max_sequences=20_000)
+    st = alpha_stats(tree, 2, dist)
+    assert st.mean == 1
+    assert recursive_cv2(tree, 2, dist) <= st.variance <= st.max_value - 1 <= st.level_max_product - 1
+    with pytest.raises(CapExceeded, match="more than 50 hypernode states"):
+        alpha_stats(tree, 2, dist, max_states=50)
 
 
 def reference_level_max_product(t, budget, weight):
@@ -426,6 +446,7 @@ def test_exact_computations_leave_no_cyclic_garbage():
         lambda: recursive_variance(tree, 2, ImportanceInduced(weight)),
         lambda: recursive_cv2(tree, 2, ImportanceInduced(weight)),
         lambda: count_sequences(tree, 2),
+        lambda: alpha_stats(tree, 2, ImportanceInduced(weight)),
     ]
     gc.collect()
     gc.disable()
@@ -447,41 +468,46 @@ def test_enumeration_expands_each_hypernode_once(monkeypatch):
 
     monkeypatch.setattr(analysis, "_expand", spy)
     tree = LEDecisionTree(random_poset(5, 0.2, 1))
-    for alpha in (False, True):
-        calls.clear()
-        od = enumerate_distribution(tree, 2, ImportanceInduced(importance_function(tree, "f2")),
-                                    alpha=alpha, keep_sequences=True)
-        visits = [h.nodes for o in od.outcomes for h in o.sequence]
-        assert set(calls) == set(visits) and len(visits) > len(calls)
-        assert set(calls.values()) == {1}
+    od = enumerate_distribution(tree, 2, ImportanceInduced(importance_function(tree, "f2")), keep_sequences=True)
+    visits = [h.nodes for o in od.outcomes for h in o.sequence]
+    assert set(calls) == set(visits) and len(visits) > len(calls)
+    assert set(calls.values()) == {1}
 
 
-def _assert_enumeration_matches_reference(t, budget, dist, alpha=False):
-    """Outcomes in order, moments and level maxima equal the Fraction
-    reference exactly; a zero-cost forest under ``alpha`` fails in both.
-
-    With ``alpha``, an ``ImportanceInduced`` draw's alpha values are
-    checked against the reference's r-ratio form, and every draw's
-    against its probability-ratio form.
-    """
-    weight = dist.weight if alpha and type(dist) is ImportanceInduced else None
-    try:
-        outcomes, mean, variance, total_p, level_max = reference_enumeration(t, budget, dist, weight)
-        by_p = reference_alpha(t, budget, dist) if alpha else None
-    except ZeroDivisionError:
-        with pytest.raises(AlphaUndefined):
-            enumerate_distribution(t, budget, dist, alpha=alpha)
-        return
-    od = enumerate_distribution(t, budget, dist, alpha=alpha)
+def _assert_enumeration_matches_reference(t, budget, dist):
+    """Outcomes in order and moments equal the Fraction reference exactly,
+    and so do alpha's moments, maximum and level product (see
+    ``_assert_alpha_matches_reference``)."""
+    outcomes, mean, variance, total_p, _ = reference_enumeration(t, budget, dist)
+    od = enumerate_distribution(t, budget, dist)
     assert [(o.probability, o.estimate) for o in od.outcomes] == [(p, e) for p, e, _ in outcomes]
-    if weight is not None or not alpha:
-        assert [o.alpha for o in od.outcomes] == [a for _, _, a in outcomes]
-        assert list(od.level_max) == level_max
-    if alpha:
-        assert ([o.alpha for o in od.outcomes], list(od.level_max)) == by_p
     assert (od.mean, od.variance, od.total_probability) == (mean, variance, total_p)
     assert od.cv2 == (variance / (mean * mean) if mean != 0 else None)
-    assert all(type(x) is Fraction for o in od.outcomes for x in (o.probability, o.estimate, o.alpha))
+    assert all(type(x) is Fraction for o in od.outcomes for x in (o.probability, o.estimate))
+    _assert_alpha_matches_reference(t, budget, dist, [p for p, _, _ in outcomes])
+
+
+def _assert_alpha_matches_reference(t, budget, dist, probabilities):
+    """``alpha_stats`` equals the moments, maximum and level product of the
+    reference's per-outcome alphas (probability-ratio form) exactly; a
+    zero-cost successor forest fails in both.  Under ``ImportanceInduced``
+    the reference's r-ratio form gives the same alphas and level maxima."""
+    try:
+        alphas, level_max = reference_alpha(t, budget, dist)
+    except ZeroDivisionError:
+        with pytest.raises(AlphaUndefined):
+            alpha_stats(t, budget, dist)
+        return
+    if type(dist) is ImportanceInduced:
+        outcomes, *_, r_level_max = reference_enumeration(t, budget, dist, dist.weight)
+        assert ([a for _, _, a in outcomes], r_level_max) == (alphas, level_max)
+    mean = sum(p * a for p, a in zip(probabilities, alphas))
+    variance = sum(p * (a - mean) ** 2 for p, a in zip(probabilities, alphas))
+    stats = alpha_stats(t, budget, dist)
+    assert (stats.mean, stats.variance, stats.max_value, stats.level_max_product) == (
+        mean, variance, max(alphas), math.prod(level_max, start=Fraction(1)),
+    )
+    assert all(type(x) is Fraction for x in (stats.mean, stats.variance, stats.max_value, stats.level_max_product))
 
 
 def _assert_recursions_match_reference(t, budget, weight):
@@ -520,7 +546,6 @@ def test_exact_analysis_matches_fraction_reference_on_random_forests(forest, bud
     t, weight = forest
     _assert_enumeration_matches_reference(t, budget, UniformHyperchild())
     _assert_enumeration_matches_reference(t, budget, ImportanceInduced(weight))
-    _assert_enumeration_matches_reference(t, budget, ImportanceInduced(weight), alpha=True)
     _assert_recursions_match_reference(t, budget, weight)
 
 
@@ -532,7 +557,7 @@ def test_exact_analysis_matches_fraction_reference_on_verify_posets():
         for kind in ("uniform", "f1", "f2", "f3", "ideal"):
             weight = importance_function(tree, kind)
             for budget in (1, 2, 3):
-                _assert_enumeration_matches_reference(tree, budget, ImportanceInduced(weight), alpha=True)
+                _assert_enumeration_matches_reference(tree, budget, ImportanceInduced(weight))
                 _assert_recursions_match_reference(tree, budget, weight)
                 cells += 1
         for budget in (1, 2, 3):
@@ -557,8 +582,7 @@ def test_exact_analysis_matches_fraction_reference_on_thirds():
     od = enumerate_distribution(t, 1, dist)
     assert od.total_probability == 1 and od.mean == 14
     assert {o.probability.denominator for o in od.outcomes} == {9, 27}
-    for alpha in (False, True):
-        _assert_enumeration_matches_reference(t, 1, dist, alpha)
+    _assert_enumeration_matches_reference(t, 1, dist)
 
 
 def _assert_uniform_draw_analysis(t, budget) -> bool:

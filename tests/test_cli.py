@@ -2,6 +2,7 @@
 
 import csv
 import functools
+import inspect
 import io
 import json
 import math
@@ -9,7 +10,7 @@ import math
 import pytest
 from explicit_distribution import ExplicitDistribution
 
-from stochenum import cli, experiments, tree
+from stochenum import cli, experiments, tree, verify
 from stochenum.cli import main
 from stochenum.errors import CapExceeded
 from stochenum.posets import random_poset, save_poset
@@ -387,6 +388,17 @@ def test_verify_seed_reaches_run_checks(monkeypatch, capsys, argv, seed):
     monkeypatch.setattr(cli, "run_checks", lambda **kw: seen.append(kw["seed"]) or [])
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0 and seen == [seed]
+
+
+def test_verify_defaults_are_run_checks_defaults(monkeypatch, capsys):
+    # `stochenum verify` with no options is `run_checks()`
+    seen = []
+    monkeypatch.setattr(cli, "run_checks", lambda **kw: seen.append(kw) or [])
+    code, _, _ = run_cli(capsys, "verify")
+    assert code == 0 and len(seen) == 1
+    passed = {name: value for name, value in seen[0].items() if name != "bounds_sink"}
+    params = inspect.signature(verify.run_checks).parameters
+    assert passed == {name: p.default for name, p in params.items() if name != "bounds_sink"}
 
 
 def test_other_commands_default_to_seed_zero(tmp_path, capsys):

@@ -40,30 +40,32 @@ def test_verify_output_is_pinned(tmp_path, capsys):
 
 
 def test_run_checks_analyzes_each_weighted_cell_once(monkeypatch):
-    calls = {name: Counter() for name in ("enumerate", "variance", "cv2", "plain")}
+    calls = {name: Counter() for name in ("enumerate", "variance", "cv2", "alpha")}
 
     def spy(name, fn):
         def wrapper(t, budget, dist, *args, **kwargs):
-            plain = name == "enumerate" and not kwargs.get("alpha")
-            calls["plain" if plain else name][t, budget, getattr(dist, "weight", None)] += 1
+            calls[name][t, budget, getattr(dist, "weight", None)] += 1
             return fn(t, budget, dist, *args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(verify, "enumerate_distribution", spy("enumerate", verify.enumerate_distribution))
     monkeypatch.setattr(verify, "recursive_variance", spy("variance", verify.recursive_variance))
     monkeypatch.setattr(verify, "recursive_cv2", spy("cv2", verify.recursive_cv2))
+    monkeypatch.setattr(verify, "alpha_stats", spy("alpha", verify.alpha_stats))
     posets, budgets = 4, 2
     results = verify.run_checks(max_n=4, max_budget=budgets, posets=posets, seed=3, max_sequences=2000)
     assert all(r.passed for r in results)
-    # fixture: uniform and leaf-count weights, plus the ideal draw the
-    # unbiasedness check reads; posets: four kinds each
+    # fixture: uniform and leaf-count weights; posets: four kinds each
     weighted = budgets * (2 + 4 * posets)
-    assert len(calls["enumerate"]) == weighted + budgets
-    assert len(calls["variance"]) == len(calls["cv2"]) == weighted
-    for name in ("enumerate", "variance", "cv2"):
+    assert len(calls["variance"]) == len(calls["cv2"]) == len(calls["alpha"]) == weighted
+    assert set(calls["alpha"]) == set(calls["variance"]) == set(calls["cv2"])
+    # one enumeration per cell: the weighted cells, the fixture's uniform
+    # and ideal draws, the posets' uniform draws; then one per instance
+    # and budget in the zero-variance check
+    cells = weighted + budgets * (2 + posets)
+    assert len(calls["enumerate"]) == cells + budgets * (1 + posets)
+    for name in calls:
         assert set(calls[name].values()) == {1}, name
-    # enumerations without alpha: the uniform draws and the zero-variance check
-    assert not set(calls["plain"]) & set(calls["enumerate"])
 
 
 def test_unbiasedness_passes_on_a_zero_cost_successor_forest():
