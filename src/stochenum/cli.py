@@ -9,7 +9,8 @@ Exit codes: 0 success, 1 verification or assertion failure (a failed
 ``verify`` check, an ``exact --method both`` mismatch, or a ``sweep
 --verify-small`` pooled mean/exact ratio off 1), 2 usage or input error, 3
 resource cap exceeded or an estimate beyond double range
-(``EstimateOverflow``; one stderr line with the estimate's natural log).
+(``EstimateOverflow``; one stderr line with the estimate's natural log)
+or a worker process that died (``BrokenProcessPool``; one stderr line).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import csv
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from .analysis import BOUNDS_CSV_HEADER
 from .errors import CapExceeded, EstimateOverflow, VerificationFailure
@@ -343,6 +345,9 @@ def main(argv=None) -> int:
         return 3
     except EstimateOverflow as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except BrokenProcessPool as exc:
+        print(f"worker process died: {exc}", file=sys.stderr)
         return 3
     except VerificationFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

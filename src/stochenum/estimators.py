@@ -275,7 +275,7 @@ def summarize(estimates: Sequence[float]) -> RunSummary:
     and sums within the double range: the mean, standard error and
     relative variance of finite estimates stay finite, and only
     ``variance`` itself may leave the range.  Inside that window nothing
-    is scaled.
+    is scaled, and nothing is copied.
     """
     n = len(estimates)
     if n == 0:
@@ -283,7 +283,7 @@ def summarize(estimates: Sequence[float]) -> RunSummary:
     shift = math.frexp(max(map(abs, estimates)))[1]
     if -400 < shift <= 400:
         shift = 0
-    scaled = [math.ldexp(x, -shift) for x in estimates]
+    scaled = [math.ldexp(x, -shift) for x in estimates] if shift else estimates
     mean = math.fsum(scaled) / n
     if n < 2:
         return RunSummary(runs=n, mean=math.ldexp(mean, shift), variance=None, stderr=None, rel_variance=None)

@@ -22,6 +22,7 @@ from .sampling import RUN_GROUP, RandomSource, derive_seed
 from .tree import Hypernode, TreeOracle
 
 MAX_DP_ELEMENTS = 24  # the deleted-set table is exponential in n
+EXPANSION_CAP = 8192  # masks in the mask walk's expansion cache, cleared when full
 
 IMPORTANCE_KINDS = ("uniform", "f1", "f2", "f3", "ideal")
 
@@ -201,9 +202,10 @@ class LEDecisionTree(TreeOracle):
     Cost is 1 on depth-n leaves and 0 elsewhere, so forest cost equals the
     extension count.
 
-    The memo tables only grow and their entries are pure functions of the
-    key, so concurrent readers at worst recompute an entry; worker
-    processes each fork their own copy.
+    The ``maximal_after`` and ``completions`` memos only grow;
+    ``fast_run_block`` fills only the latter, under the ``ideal`` weight.
+    Their entries are pure functions of the key, so concurrent readers at
+    worst recompute an entry; worker processes each fork their own copy.
     """
 
     def __init__(self, poset: Poset):
@@ -240,23 +242,27 @@ class LEDecisionTree(TreeOracle):
         return Hypernode((((), 0),))
 
     def maximal_after(self, deleted: int) -> tuple[int, ...]:
-        """Maximal elements of the remaining poset, ascending."""
+        """Maximal elements of the remaining poset, ascending (memoized)."""
         out = self._max_memo.get(deleted)
         if out is None:
-            # An element is maximal unless some remaining element is above
-            # it, i.e. unless it lies in the union of the remaining rows.
-            chunks = self._chunks
-            if chunks is None:
-                chunks = self._chunks = self._build_chunks()
-            remaining = self._full & ~deleted
-            covered = 0
-            for shift, below, _ in chunks:
-                covered |= below[remaining >> shift & 255]
-            top = remaining & ~covered
-            out = ()
-            for shift, _, elems in chunks:
-                out += elems[top >> shift & 255]
-            self._max_memo[deleted] = out
+            out = self._max_memo[deleted] = self._maximal(deleted)
+        return out
+
+    def _maximal(self, deleted: int) -> tuple[int, ...]:
+        """``maximal_after`` without the memo."""
+        # An element is maximal unless some remaining element is above
+        # it, i.e. unless it lies in the union of the remaining rows.
+        chunks = self._chunks
+        if chunks is None:
+            chunks = self._chunks = self._build_chunks()
+        remaining = self._full & ~deleted
+        covered = 0
+        for shift, below, _ in chunks:
+            covered |= below[remaining >> shift & 255]
+        top = remaining & ~covered
+        out = ()
+        for shift, _, elems in chunks:
+            out += elems[top >> shift & 255]
         return out
 
     def successors(self, node) -> list:
@@ -294,17 +300,21 @@ class LEDecisionTree(TreeOracle):
         tests), but tracks hypernode members as deleted-set masks only.
         One walk never merges two members, so the path identity that node
         references carry is not needed inside a single run.
+        Its expansion cache, cleared when it holds ``EXPANSION_CAP`` masks
+        (read per call), bounds a block's memory whatever its run count.
         """
         if budget < 1:
             raise ValueError(f"budget must be >= 1, got {budget}")
         n = self.n
-        maximal_after = self.maximal_after
+        maximal = self._maximal
+        cap = EXPANSION_CAP
         uniform = weight is None
         if not uniform:
             child_values = weight.child_values
             counted = hasattr(weight, "evaluations")
         # Whole expansions keyed by deleted-set mask: the mask fixes the
-        # depth (its popcount), so children and weights are mask-pure.
+        # depth (its popcount), so children and weights are mask-pure and
+        # clearing the cache changes no estimate.
         expansion: dict = {}
         # One generator reseeded per run group yields the same stream as a
         # fresh Random(derive_seed(seed, group)) without constructing one.
@@ -327,7 +337,9 @@ class LEDecisionTree(TreeOracle):
                     for mask in members:
                         kids = expansion.get(mask)
                         if kids is None:
-                            kids = expansion[mask] = [mask | (1 << e) for e in maximal_after(mask)]
+                            if len(expansion) >= cap:
+                                expansion.clear()
+                            kids = expansion[mask] = [mask | (1 << e) for e in maximal(mask)]
                         succ += kids
                     count = len(succ)
                     if not count:
@@ -349,7 +361,9 @@ class LEDecisionTree(TreeOracle):
                     for mask in members:
                         entry = expansion.get(mask)
                         if entry is None:
-                            kids = maximal_after(mask)
+                            if len(expansion) >= cap:
+                                expansion.clear()
+                            kids = maximal(mask)
                             g0 = weight.guard_hits if counted else 0
                             ws = child_values(mask, kids)
                             entry = (

@@ -6,11 +6,12 @@ import inspect
 import io
 import json
 import math
+import os
 
 import pytest
 from explicit_distribution import ExplicitDistribution
 
-from stochenum import cli, experiments, tree, verify
+from stochenum import cli, estimators, experiments, tree, verify
 from stochenum.cli import main
 from stochenum.errors import CapExceeded
 from stochenum.posets import random_poset, save_poset
@@ -92,6 +93,24 @@ def test_estimate_overflow_exit_code(tmp_path, capsys):
         code, out, err = run_cli(capsys, "--threads", threads, "estimate", "--poset", str(anti), "--runs", "8")
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and "overflow" in err and "Traceback" not in err
+
+
+def _die_in_worker(task):
+    os._exit(9)  # as when the OOM killer ends a worker
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    (estimators, "_run_block_star", ("estimate", "--fixture", "poset-fig3", "--runs", "256")),
+    (experiments, "_poset_task",
+     ("sweep", "--kind", "n", "--values", "4", "--budget", "2", "--posets", "4", "--estimates", "8")),
+])
+def test_dead_worker_exit_code(capsys, monkeypatch, module, name, argv):
+    # The pool looks the task function up by name in the forked worker,
+    # so the worker runs the patched one.
+    monkeypatch.setattr(module, name, _die_in_worker)
+    code, out, err = run_cli(capsys, "--threads", "2", *argv)
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("worker process died") and "Traceback" not in err
 
 
 def test_estimate_with_squares_beyond_double_range(tmp_path, capsys):

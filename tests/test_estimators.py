@@ -2,6 +2,8 @@
 
 import math
 import pickle
+import random
+import tracemalloc
 
 import pytest
 from explicit_distribution import ExplicitDistribution
@@ -246,6 +248,21 @@ def test_summarize_estimates_beyond_square_range():
     tiny = math.ldexp(1.0, -1070)
     s = summarize([tiny, 3 * tiny])
     assert (s.mean, s.stderr, s.rel_variance) == (2 * tiny, tiny, 0.5)
+
+
+def test_summarize_reads_in_window_estimates_without_a_copy():
+    rng = random.Random(5)
+    estimates = [rng.uniform(0.0, 1e6) for _ in range(100_000)]
+    tracemalloc.start()
+    try:
+        [math.ldexp(x, 0) for x in estimates]
+        one_copy = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        summarize(estimates)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < one_copy / 20, (peak, one_copy)
 
 
 def test_summarize_single_run_flags():

@@ -6,15 +6,19 @@ import os
 import random
 import tempfile
 import time
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stochenum import posets
 from stochenum.analysis import enumerate_distribution
 from stochenum.errors import CapExceeded
 from stochenum.estimators import ImportanceInduced, UniformHyperchild
 from stochenum.posets import (
+    IMPORTANCE_KINDS,
     LEDecisionTree,
     Poset,
     PosetFormatError,
@@ -314,6 +318,52 @@ def test_weights_do_not_depend_on_evaluation_order(n, p, seed, data):
             if prefix:
                 fresh = importance_function(LEDecisionTree(poset), kind)
                 assert warm((prefix, mask)) == fresh((prefix, mask)), (kind, prefix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    p=st.sampled_from((0.05, 0.2, 0.4)),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(IMPORTANCE_KINDS),
+    budget=st.integers(1, 5),
+)
+def test_expansion_cap_changes_no_output(n, p, seed, kind, budget):
+    # A cache entry is a pure function of its mask, so clearing the cache
+    # changes no estimate and no f3 counter.  Each run misses at least
+    # twice (its root and a leaf), so at cap 1 every run clears the cache:
+    # in the uniform branch (weight None) and in the weighted one.
+    poset = random_poset(n, p, seed)
+    results = []
+    for cap in (1, 3, posets.EXPANSION_CAP):
+        with mock.patch.object(posets, "EXPANSION_CAP", cap):
+            tree = LEDecisionTree(poset)
+            weight = None if kind == "uniform" else importance_function(tree, kind)
+            estimates = tree.fast_run_block(budget, weight, seed, 0, 70)
+        counters = (weight.evaluations, weight.guard_hits) if kind == "f3" else None
+        results.append(([x.hex() for x in estimates], counters))
+    assert results[0] == results[1] == results[2]
+
+
+def test_walk_memory_is_bounded_per_block():
+    # Once a block passes the cap, more runs add no cache memory: the
+    # tracemalloc peak of 4R runs stays near that of R runs (an unbounded
+    # cache grows about 4x).  A lowered cap keeps the test short; 16 runs
+    # visit about 2,800 distinct masks here.
+    poset = random_poset(40, 0.05, 1)
+
+    def peak(runs):
+        tree = LEDecisionTree(poset)
+        weight = importance_function(tree, "f3")
+        tracemalloc.start()
+        try:
+            tree.fast_run_block(5, weight, 1, 0, runs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    with mock.patch.object(posets, "EXPANSION_CAP", 2048):
+        assert peak(64) <= 1.25 * peak(16)
 
 
 def test_importance_kind_aliases_and_unknown():
