@@ -23,15 +23,10 @@ moments and maxima.  All enumerations count against explicit caps and
 raise CapExceeded rather than truncating.
 
 The recursions (sequence count, variance, CV^2, alpha) memoize per
-hypernode, so alpha reaches instances far past any enumeration.
-When the oracle defines ``state`` (see ``TreeOracle``) and the draw is
-``UniformHyperchild`` or ``ImportanceInduced`` of a weight with
-``child_values`` (the mark of a weight that is a function of the node's
-state, which the mask walk's expansion cache relies on too), the memo
-key is the multiset of member states, so hypernodes reached by
-different paths are evaluated once.  Any other draw may read the whole
-path, so its memo stays keyed on the members.  Results do not depend on
-the key.
+hypernode, so alpha reaches instances far past any enumeration.  A
+hypernode is the sorted multiset of its members, and node references
+are states (see ``tree``), so hypernodes reached by different paths
+share one memo entry.
 """
 
 from __future__ import annotations
@@ -44,7 +39,7 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import CapExceeded
-from .estimators import HypernodeDistribution, ImportanceInduced, UniformHyperchild, integer_scale
+from .estimators import HypernodeDistribution, integer_scale
 from .tree import Hypernode, TreeOracle, hypernode_successors, subtree_cost_function
 
 DEFAULT_SEQUENCE_CAP = 1_000_000
@@ -104,22 +99,6 @@ def _add_unreduced(sn: int, sd: int, n: int, d: int) -> tuple[int, int]:
         return sn + n, sd
     g = math.gcd(sd, d)
     return sn * (d // g) + n * (sd // g), sd // g * d
-
-
-def _memo_key(t: TreeOracle, dist: HypernodeDistribution):
-    """Memo key of a hypernode's member tuple, or None for the tuple itself.
-
-    States merge hypernodes only under the contract in the module
-    docstring, for those two draw classes exactly (a subclass may change
-    the support).
-    """
-    state = t.state
-    if state is None or not (
-        type(dist) is UniformHyperchild
-        or type(dist) is ImportanceInduced and hasattr(dist.weight, "child_values")
-    ):
-        return None
-    return lambda nodes: tuple(sorted(map(state, nodes)))
 
 
 def _moments(pairs) -> tuple[Fraction, Fraction, Fraction]:
@@ -190,8 +169,7 @@ def count_sequences(
             total = capped(total + count_of(tuple(sorted(sub))))
         return total
 
-    # the count is the same under every draw with the uniform draw's support
-    return _hypernode_recursion(t, budget, math.inf, _memo_key(t, UniformHyperchild()), step)
+    return _hypernode_recursion(t, budget, math.inf, step)
 
 
 def enumerate_distribution(
@@ -283,12 +261,12 @@ class AlphaStats:
     level_max_product: object
 
 
-def _hypernode_recursion(t, budget, max_states, key, step, subcost=None):
+def _hypernode_recursion(t, budget, max_states, step, subcost=None):
     """Memoized recursion over the hypernodes reachable from the root.
 
     ``step(nodes, exp, value_of)`` gives a hypernode's value from its
-    expansion (None when terminal) and the values of its hyperchildren.
-    ``key`` maps a member tuple to its memo key (None: the tuple itself).
+    expansion (None when terminal) and the values of its hyperchildren,
+    each keyed by its sorted member tuple.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -297,15 +275,14 @@ def _hypernode_recursion(t, budget, max_states, key, step, subcost=None):
 
     def value_of(nodes):
         nonlocal visited
-        k = nodes if key is None else key(nodes)
-        known = memo.get(k)
+        known = memo.get(nodes)
         if known is not None:
             return known
         visited += 1
         if visited > max_states:
             raise CapExceeded(f"more than {max_states} hypernode states")
-        memo[k] = step(nodes, _expand(t, nodes, budget, subcost), value_of)
-        return memo[k]
+        memo[nodes] = step(nodes, _expand(t, nodes, budget, subcost), value_of)
+        return memo[nodes]
 
     try:
         return value_of(t.root_hypernode.nodes)
@@ -341,9 +318,8 @@ def recursive_variance(
                  - Cost(T_S)^2
 
     with variance 0 at terminal hypernodes; under ``ImportanceInduced``,
-    1 / (C(|S|-1, |w|-1) * P(w)) is r(S)/r(w).  Memoized per hypernode (by
-    member states where the module docstring allows); this is the
-    closed-form twin of the enumeration variance and the pair is
+    1 / (C(|S|-1, |w|-1) * P(w)) is r(S)/r(w).  Memoized per hypernode;
+    this is the closed-form twin of the enumeration variance and the pair is
     asserted equal in the test suite.
     """
 
@@ -357,7 +333,7 @@ def recursive_variance(
         )
 
     subcost = subtree_cost_function(t, Fraction)
-    return _hypernode_recursion(t, budget, max_states, _memo_key(t, dist), step, subcost)
+    return _hypernode_recursion(t, budget, max_states, step, subcost)
 
 
 def recursive_cv2(
@@ -388,7 +364,7 @@ def recursive_cv2(
         )
         return unnormalized / (cost_v * cost_v)
 
-    return _hypernode_recursion(t, budget, max_states, _memo_key(t, dist), step, subcost)
+    return _hypernode_recursion(t, budget, max_states, step, subcost)
 
 
 def alpha_stats(
@@ -444,7 +420,7 @@ def alpha_stats(
         return _reduced(e1n, e1d * k), _reduced(e2n, e2d * k * k), _reduced(top[0], top[1] * k), tuple(level_max)
 
     subcost = subtree_cost_function(t, Fraction)
-    a1, a2, top, levels = _hypernode_recursion(t, budget, max_states, _memo_key(t, dist), step, subcost)
+    a1, a2, top, levels = _hypernode_recursion(t, budget, max_states, step, subcost)
     mean = Fraction(*a1)
     product = math.prod((Fraction(*lv) for lv in levels), start=Fraction(1))
     return AlphaStats(mean, Fraction(*a2) - mean * mean, Fraction(*top), product)

@@ -34,7 +34,7 @@ from .sampling import (
     _draw_two_phase,
     derive_seed,
 )
-from .tree import Hypernode, TreeOracle, subtree_cost_function
+from .tree import Hypernode, TreeOracle, hypernode_successors, subtree_cost_function
 
 
 class Draw(NamedTuple):
@@ -151,7 +151,6 @@ class Trajectory:
     root_size: int
     estimate: float
     stop_level: int
-    log_d: float
     hypernodes: tuple | None = None
     d_factors: tuple | None = None
     d_products: tuple | None = None
@@ -168,7 +167,6 @@ def _walk(
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     cost = t.cost
-    successors = t.successors
     root = t.root_hypernode
     nodes = root.nodes
     size0 = len(nodes)
@@ -177,18 +175,13 @@ def _walk(
         csum += cost(v)
     total = csum / size0
     d_product = 1.0
-    log_d = 0.0
     hypernodes = [root] if record else None
     d_factors = [] if record else None
     d_products = [] if record else None
     level_costs = [csum / size0] if record else None
     level = 0
     while True:
-        # Plain concatenation: node references are path-exact, so members
-        # of one hypernode can never share a child.
-        succ = []
-        for v in nodes:
-            succ.extend(successors(v))
+        succ = hypernode_successors(nodes, t)
         if not succ:
             break
         draw = dist.draw(succ, budget, choice)
@@ -197,10 +190,11 @@ def _walk(
         wnodes = draw.nodes
         m = len(wnodes)
         d_k = (m / len(nodes)) * draw.d_multiplier
-        d_product *= d_k
-        log_d += math.log(d_k)
-        if not math.isfinite(d_product):
-            raise EstimateOverflow(log_d)
+        product = d_product * d_k
+        if not math.isfinite(product):
+            # log of the product, from the last finite one
+            raise EstimateOverflow(math.log(d_product) + math.log(d_k))
+        d_product = product
         csum = 0.0
         for w in wnodes:
             csum += cost(w)
@@ -216,7 +210,6 @@ def _walk(
         root_size=size0,
         estimate=size0 * total,
         stop_level=level,
-        log_d=log_d,
         hypernodes=tuple(hypernodes) if record else None,
         d_factors=tuple(d_factors) if record else None,
         d_products=tuple(d_products) if record else None,

@@ -195,12 +195,13 @@ def _completions(above: tuple[int, ...], memo: dict[int, int], remaining: int) -
 class LEDecisionTree(TreeOracle):
     """Decision tree of one poset, as a forest oracle.
 
-    A node is a (prefix, deleted-mask) pair: the prefix lists the elements
-    deleted so far in order, the mask is the same set as bits.  The prefix
-    makes equality path-exact (two different deletion orders of the same
-    set are different tree nodes); the mask makes per-node work O(1).
-    Cost is 1 on depth-n leaves and 0 elsewhere, so forest cost equals the
-    extension count.
+    A node is the pair (tail, deleted mask): the tail is () at the root
+    and (e,) after deleting e, the mask holds the deleted elements as
+    bits.  That is the node's state: the mask fixes its depth (the mask's
+    popcount), cost and subtree, and with the last element it fixes every
+    weight in this module, so two deletion orders that reach one state
+    are one reference.  Cost is 1 on depth-n leaves and 0 elsewhere, so
+    forest cost equals the extension count.
 
     The ``maximal_after`` and ``completions`` memos only grow;
     ``fast_run_block`` fills only the latter, under the ``ideal`` weight.
@@ -266,21 +267,11 @@ class LEDecisionTree(TreeOracle):
         return out
 
     def successors(self, node) -> list:
-        prefix, deleted = node
-        return [(prefix + (e,), deleted | (1 << e)) for e in self.maximal_after(deleted)]
+        deleted = node[1]
+        return [((e,), deleted | (1 << e)) for e in self.maximal_after(deleted)]
 
     def cost(self, node) -> float:
-        return 1.0 if len(node[0]) == self.n else 0.0
-
-    def state(self, node) -> tuple[int, int]:
-        """(deleted mask, last deleted element or -1).
-
-        The mask fixes the subtree, the depth and the cost; with the last
-        element it also fixes every weight in this module, so exact
-        recursions may merge hypernodes whose members agree on this.
-        """
-        prefix, deleted = node
-        return deleted, prefix[-1] if prefix else -1
+        return 1.0 if node[1] == self._full else 0.0
 
     def subtree_cost(self, node) -> int:
         return self.completions(node[1])
@@ -297,9 +288,9 @@ class LEDecisionTree(TreeOracle):
         draw; None selects the uniform draw of ``UniformHyperchild``.
         Draw-for-draw and float-for-float identical to the generic walk
         under the matching distribution (the equivalence is pinned by
-        tests), but tracks hypernode members as deleted-set masks only.
-        One walk never merges two members, so the path identity that node
-        references carry is not needed inside a single run.
+        tests), but tracks hypernode members as deleted-set masks only:
+        a mask's children and their weights follow from the mask, so the
+        last element a node reference adds is not needed.
         Its expansion cache, cleared when it holds ``EXPANSION_CAP`` masks
         (read per call), bounds a block's memory whatever its run count.
         """
@@ -407,8 +398,7 @@ class LEDecisionTree(TreeOracle):
                     d_k = (m / size) * (r_all / r_sel)
                 product = d_product * d_k
                 if not math.isfinite(product):
-                    # The generic walk reports the sum of log(d_k) so far;
-                    # this is the same magnitude from the last finite product.
+                    # as the generic walk: log of the product, from the last finite one
                     raise EstimateOverflow(math.log(d_product) + math.log(d_k))
                 d_product = product
                 depth += 1
@@ -436,10 +426,9 @@ class _TreeWeight:
         raise NotImplementedError
 
     def __call__(self, node) -> float:
-        prefix, mask = node
-        elem = prefix[-1]
+        (elem,), mask = node
         sib = len(self.tree.maximal_after(mask & ~(1 << elem)))
-        return self._values(sib, len(prefix), (elem,))[0]
+        return self._values(sib, mask.bit_count(), (elem,))[0]
 
     def child_values(self, mask: int, kids) -> list[float]:
         """Weights of the children ``mask | 1 << e`` for e in ``kids``, the

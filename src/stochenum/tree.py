@@ -6,9 +6,12 @@ interface, so the same machinery runs on explicit in-memory trees and on
 combinatorial decision trees that are never materialized.
 
 Node references are opaque to this module.  They must be hashable and
-totally ordered within one oracle, and two references must compare equal
-exactly when they denote the same tree node (two nodes reached by
-different paths are different nodes, whatever else they have in common).
+totally ordered within one oracle.  A reference is a node's state, not
+its path: two nodes reached by different paths may share one reference,
+and equal references must have equal costs, equal subtrees (successor
+references, in order) and equal weights under every weight function
+used with the oracle.  A hypernode is therefore a sorted multiset of
+references, and the exact analysis memoizes on it.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ DEFAULT_NODE_CAP = 10_000_000
 
 @dataclass(frozen=True)
 class Hypernode:
-    """A set of distinct same-level nodes, stored in canonical sorted order.
+    """A multiset of same-level nodes, stored in canonical sorted order.
 
-    Canonical ordering makes structural equality coincide with set
+    Canonical ordering makes structural equality coincide with multiset
     equality, so hypernodes can be dict keys and compared across
     independently produced traversals.
     """
@@ -35,10 +38,7 @@ class Hypernode:
     nodes: tuple
 
     def __post_init__(self):
-        ordered = tuple(sorted(self.nodes))
-        if len(set(ordered)) != len(ordered):
-            raise ValueError(f"hypernode contains duplicate nodes: {self.nodes!r}")
-        object.__setattr__(self, "nodes", ordered)
+        object.__setattr__(self, "nodes", tuple(sorted(self.nodes)))
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -75,26 +75,13 @@ class TreeOracle:
     # Optional fast path; ``subtree_cost_function`` falls back to traversal.
     subtree_cost: Callable | None = None
 
-    # Optional merge contract for the exact recursions in ``analysis``:
-    # ``state(node)`` is a hashable summary such that nodes with equal
-    # states have equal depths, costs, subtree shapes (successor states,
-    # in order) and weights under every weight that has ``child_values``.
-    # Hypernodes whose member states agree as multisets then share one
-    # memo entry.  None keys the memo on the members themselves.
-    state: Callable | None = None
-
 
 def hypernode_successors(h: Hypernode | Sequence, t: TreeOracle) -> tuple:
-    """Successor union of a hypernode (or its member tuple), member order
-    then child order.
-
-    In a well-formed forest the per-member successor sets are disjoint;
-    the dedup only guards against oracles that accidentally share children.
-    """
-    out = {}
+    """Successor multiset of a hypernode (or its member tuple), member
+    order then child order; a child two members share appears twice."""
+    out = []
     for v in h:
-        for w in t.successors(v):
-            out[w] = None
+        out += t.successors(v)
     return tuple(out)
 
 

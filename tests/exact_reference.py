@@ -5,8 +5,10 @@ the depth-first outcome enumeration with its moments and per-depth alpha
 maxima, those alpha values again in the probability-ratio form that
 holds for any draw, and the variance and CV^2 hyperchild recursions.
 Every value is a ``Fraction`` and every step is the formula as written,
-with a memo keyed on the member tuple alone.  Slow, and only for tests, which
-require the package's results to equal these exactly.
+with a memo keyed on the sorted member tuple.  Sums run over successor
+positions, so a child that two members share counts twice.  Slow, and
+only for tests, which require the package's results to equal these
+exactly.
 """
 
 import itertools
@@ -47,7 +49,7 @@ def reference_enumeration(t, budget, dist, weight=None):
         binom = comb(len(succ) - 1, min(budget, len(succ)) - 1)
         if weight is not None:
             w_of = _weights(weight, succ)
-            r_all = sum(w_of.values())
+            r_all = sum(w_of[x] for x in succ)
             c_all = sum(subcost(x) for x in succ)
         for wnodes, p in dist.support(succ, budget):
             p = Fraction(p)
@@ -126,7 +128,7 @@ def reference_variance(t, budget, weight) -> Fraction:
     def step(nodes, succ, w_of, var_of):
         if not succ:
             return Fraction(0)
-        r_all = sum(w_of.values())
+        r_all = sum(w_of[x] for x in succ)
         acc = Fraction(0)
         subs, binom = _candidates(succ, budget)
         for sub in subs:
@@ -148,7 +150,7 @@ def reference_cv2(t, budget, weight) -> Fraction:
             raise ValueError(f"forest at {nodes!r} has zero total cost")
         if not succ:
             return Fraction(0)
-        r_all = sum(w_of.values())
+        r_all = sum(w_of[x] for x in succ)
         acc = Fraction(0)
         subs, binom = _candidates(succ, budget)
         for sub in subs:

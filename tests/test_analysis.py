@@ -29,7 +29,6 @@ from stochenum.sampling import NonpositiveWeight
 from stochenum.tree import (
     ExplicitTree,
     Hypernode,
-    TreeOracle,
     exact_forest_cost,
     fixture_example_importance,
     fixture_example_tree,
@@ -338,47 +337,27 @@ def test_cost_split_identity_with_thirds():
     assert lhs == rhs == Fraction(13, 2)
 
 
-class _Stateless(TreeOracle):
-    """The same decision tree without ``state``: its recursions keep the
-    member-keyed memo, the reference for the state-keyed one."""
-
-    def __init__(self, tree):
-        self._tree = tree
-        self.subtree_cost = tree.subtree_cost
-
-    @property
-    def root_hypernode(self):
-        return self._tree.root_hypernode
-
-    def successors(self, node):
-        return self._tree.successors(node)
-
-    def cost(self, node):
-        return self._tree.cost(node)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    n=st.integers(1, 6),
-    p=st.sampled_from((0.1, 0.2, 0.35, 0.5)),
-    seed=st.integers(0, 10_000),
-    budget=st.integers(1, 3),
-    kind=st.sampled_from(("uniform", "f1", "f2", "f3", "ideal")),
-)
-def test_state_memo_equals_member_memo(n, p, seed, budget, kind):
-    tree = LEDecisionTree(random_poset(n, p, seed))
-    plain = _Stateless(tree)
-    assert plain.state is None
-    try:
-        count = count_sequences(tree, budget, max_sequences=3000)
-    except CapExceeded:
-        with pytest.raises(CapExceeded):
-            count_sequences(plain, budget, max_sequences=3000)
-        return
-    assert count_sequences(plain, budget, max_sequences=3000) == count
-    dist = ImportanceInduced(importance_function(tree, kind))
-    assert recursive_variance(tree, budget, dist) == recursive_variance(plain, budget, dist)
-    assert recursive_cv2(tree, budget, dist) == recursive_cv2(plain, budget, dist)
+def test_state_memo_equals_member_memo():
+    # Nodes are states: a successor multiset can hold one state twice, and
+    # hypernodes reached by different deletion orders share a memo entry.
+    # On these posets both happen at budget 2, and the recursions still
+    # equal enumeration, which has no value memo, and the reference.
+    shared = 0
+    for poset in (random_poset(4, 0.0, 0), random_poset(5, 0.15, 1)):
+        tree = LEDecisionTree(poset)
+        cost = count_linear_extensions(poset)
+        od = enumerate_distribution(tree, 2, UniformHyperchild(), keep_sequences=True)
+        assert count_sequences(tree, 2) == len(od)
+        shared += any(len(set(h)) < len(h) for o in od.outcomes for h in o.sequence)
+        for kind in ("uniform", "f1", "f2", "f3", "ideal"):
+            weight = importance_function(tree, kind)
+            dist = ImportanceInduced(weight)
+            _assert_enumeration_matches_reference(tree, 2, dist)
+            _assert_recursions_match_reference(tree, 2, weight)
+            variance = enumerate_distribution(tree, 2, dist).variance
+            assert recursive_variance(tree, 2, dist) == variance
+            assert recursive_cv2(tree, 2, dist) == variance / (cost * cost)
+    assert shared == 2
 
 
 def test_count_sequences_matches_enumeration_on_posets():
@@ -395,42 +374,6 @@ def test_count_sequences_matches_enumeration_on_posets():
                 count_sequences(tree, budget, max_sequences=count - 1)
             checked += 1
     assert checked >= 20
-
-
-class _StateWeight:
-    """A weight that claims the state contract (has child_values) without
-    keeping it; only here to show the instance set tells the keys apart."""
-
-    def __init__(self, fn):
-        self._fn = fn
-
-    def __call__(self, node):
-        return self._fn(node)
-
-    def child_values(self, mask, kids):
-        raise AssertionError("the analysis never calls child_values")
-
-
-def test_prefix_dependent_weight_is_not_merged():
-    # This weight reads the first deleted element, which a node's state
-    # does not fix, and has no child_values: the recursion must key its
-    # memo on the members and still match enumeration exactly.
-    def first_deleted(node):
-        prefix = node[0]
-        return 1.0 + 3 * prefix[0] + len(prefix)
-
-    merged = 0
-    for seed in range(1, 5):
-        tree = LEDecisionTree(random_poset(5, 0.15, seed))
-        for budget in (1, 2):
-            dist = ImportanceInduced(first_deleted)
-            od = enumerate_distribution(tree, budget, dist, max_sequences=3000)
-            assert recursive_variance(tree, budget, dist) == od.variance
-            cost = count_linear_extensions(tree.poset)
-            assert recursive_cv2(tree, budget, dist) == od.variance / (cost * cost)
-            merged += od.variance != recursive_variance(tree, budget, ImportanceInduced(_StateWeight(first_deleted)))
-    # the instance set has hypernodes that a state key would merge wrongly
-    assert merged > 0
 
 
 def test_exact_computations_leave_no_cyclic_garbage():

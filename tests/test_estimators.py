@@ -473,7 +473,7 @@ def test_overflow_passes_through_run_block_with_log_value():
         _walk(tree, 1, UniformHyperchild(),
               RandomChoice(RandomSource(derive_seed(4, 0))), record=False)
     assert math.isfinite(fast.value.log_value)
-    assert fast.value.log_value == pytest.approx(generic.value.log_value, rel=1e-12)
+    assert fast.value.log_value == generic.value.log_value
     with pytest.raises(EstimateOverflow):
         run_many(tree, 1, UniformHyperchild(), 8, 4, threads=2)
 

@@ -37,16 +37,17 @@ GOLDEN_N40_SEED7_RELATIONS = 569
 
 
 def all_extensions(tree):
-    """Every root-to-leaf deletion order, by explicit traversal."""
+    """Every root-to-leaf deletion order, by explicit traversal; a node
+    holds only its last element, so the traversal carries the path."""
     out = []
-    stack = [((), 0)]
+    stack = [((), ((), 0))]
     while stack:
-        node = stack.pop()
+        path, node = stack.pop()
         kids = tree.successors(node)
         if not kids:
-            out.append(node[0])
+            out.append(path)
         else:
-            stack.extend(kids)
+            stack.extend((path + kid[0], kid) for kid in kids)
     return out
 
 
@@ -214,7 +215,7 @@ def test_height_ratio_weight_spot_value():
     assert kids == (0, 3, 5)
     assert w.child_values(mask, kids) == [63.0, 63.0, 63.0]
     assert w.guard_hits == 0 and w.evaluations == 3
-    assert w(((2, 0), mask | 1)) == 63.0
+    assert w(((0,), mask | 1)) == 63.0
     assert w.guard_hits == 0 and w.evaluations == 4
 
 
@@ -268,9 +269,9 @@ def test_child_values_match_node_weights():
     for kind in ("uniform", "f1", "f2", "f3", "ideal"):
         w_batch = importance_function(tree, kind)
         w_node = importance_function(tree, kind)
-        for prefix, mask in [((), 0)] + nodes:
+        for _, mask in [((), 0)] + nodes:
             kids = tree.maximal_after(mask)
-            children = [(prefix + (e,), mask | (1 << e)) for e in kids]
+            children = [((e,), mask | (1 << e)) for e in kids]
             assert w_batch.child_values(mask, kids) == [w_node(c) for c in children]
         if kind == "f3":
             assert w_batch.evaluations == w_node.evaluations > 0
@@ -297,8 +298,8 @@ def _tree_nodes(tree, limit=400):
 def test_weights_do_not_depend_on_evaluation_order(n, p, seed, data):
     # Weights are pure functions of the node: a tree and weight that have
     # already evaluated other masks, in shuffled order, give every value a
-    # fresh pair gives.  The mask walk's expansion cache and the state
-    # memo of the exact recursions both rely on this.
+    # fresh pair gives.  The mask walk's expansion cache and the
+    # hypernode memo of the exact recursions both rely on this.
     poset = random_poset(n, p, seed)
     nodes = _tree_nodes(LEDecisionTree(poset))
     warm_order = data.draw(st.permutations(nodes), label="warm-up order")
@@ -306,18 +307,18 @@ def test_weights_do_not_depend_on_evaluation_order(n, p, seed, data):
     for kind in ("f1", "f2", "f3", "ideal"):
         warm_tree = LEDecisionTree(poset)
         warm = importance_function(warm_tree, kind)
-        for prefix, mask in warm_order:
+        for tail, mask in warm_order:
             warm.child_values(mask, warm_tree.maximal_after(mask))
-            if prefix:
-                warm((prefix, mask))
-        for prefix, mask in targets:
+            if tail:
+                warm((tail, mask))
+        for tail, mask in targets:
             fresh_tree = LEDecisionTree(poset)
             fresh = importance_function(fresh_tree, kind)
             kids = fresh_tree.maximal_after(mask)
             assert warm.child_values(mask, kids) == fresh.child_values(mask, kids), (kind, mask)
-            if prefix:
+            if tail:
                 fresh = importance_function(LEDecisionTree(poset), kind)
-                assert warm((prefix, mask)) == fresh((prefix, mask)), (kind, prefix)
+                assert warm((tail, mask)) == fresh((tail, mask)), (kind, tail, mask)
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,6 +13,7 @@ from stochenum.tree import (
     EXAMPLE_IMPORTANCE_LABELS,
     ExplicitTree,
     Hypernode,
+    TreeOracle,
     exact_forest_cost,
     fixture_example_importance,
     fixture_example_tree,
@@ -49,9 +50,10 @@ def test_hypernode_canonical_order_and_equality():
     assert "a" in Hypernode(("a", "b"))
 
 
-def test_hypernode_rejects_duplicates():
-    with pytest.raises(ValueError):
-        Hypernode(("a", "a"))
+def test_hypernode_is_a_sorted_multiset():
+    h = Hypernode(("b", "a", "b"))
+    assert h.nodes == ("a", "b", "b") and len(h) == 3
+    assert h == Hypernode(("b", "b", "a")) and h != Hypernode(("a", "b"))
 
 
 def test_fixture_tree_shape():
@@ -81,6 +83,31 @@ def test_hypernode_successors_examples():
     assert hypernode_successors(Hypernode(("d", "e")), t) == ("g", "h", "i")
     leaves = Hypernode(("k", "l", "m", "n"))
     assert hypernode_successors(leaves, t) == ()
+
+
+class _SharedChild(TreeOracle):
+    """Two roots that reach one state "z", as two deletion orders of a
+    decision tree reach one node."""
+
+    _children = {"x": ("z", "w"), "y": ("z",)}
+
+    @property
+    def root_hypernode(self):
+        return Hypernode(("x", "y"))
+
+    def successors(self, node):
+        return self._children.get(node, ())
+
+    def cost(self, node):
+        return 2.0 if node == "z" else 1.0
+
+
+def test_hypernode_successors_keep_a_shared_child():
+    t = _SharedChild()
+    assert hypernode_successors(t.root_hypernode, t) == ("z", "w", "z")
+    assert hyperchildren(t.root_hypernode, t, 2) == [("w", "z"), ("z", "z"), ("w", "z")]
+    # the shared child is two candidates, so the forest below the root costs 5
+    assert cost_split_identity(t, t.root_hypernode, 2) == (5, 5)
 
 
 def test_successors_deterministic():

@@ -7,15 +7,20 @@ from collections import Counter
 import pytest
 
 from stochenum import verify
+from stochenum.analysis import cost_split_identity
 from stochenum.cli import main
 from stochenum.estimators import ImportanceInduced, UniformHyperchild
+from stochenum.posets import LEDecisionTree, Poset
+from stochenum.sampling import RandomSource, derive_seed
 from stochenum.tree import ExplicitTree, fixture_example_importance, fixture_example_tree
 
-# Recorded before the per-cell sharing: stdout and the --out CSV of
-# `--seed 7 verify --max-n 5 --posets 16 --max-sequences 200`.
+# stdout and the --out CSV of `--seed 7 verify --max-n 5 --posets 16
+# --max-sequences 200`.  The cost-splitting line counts distinct sampled
+# hypernodes, so it follows the node representation; the CSV has kept its
+# bytes since before the per-cell sharing.
 GOLDEN_STDOUT = """\
 PASS  golden fixtures (5 instances)
-PASS  cost-splitting identity (395 instances)
+PASS  cost-splitting identity (371 instances)
 PASS  unbiasedness of enumerated expectation (249 instances)
 PASS  recursive variance and CV agreement (198 instances)
 PASS  alpha diagnostics and bounds (198 instances)
@@ -55,14 +60,14 @@ def test_run_checks_analyzes_each_weighted_cell_once(monkeypatch):
     posets, budgets = 4, 2
     results = verify.run_checks(max_n=4, max_budget=budgets, posets=posets, seed=3, max_sequences=2000)
     assert all(r.passed for r in results)
-    # fixture: uniform and leaf-count weights; posets: four kinds each
+    # fixture: the uniform draw and the leaf-count weight; posets: four kinds each
     weighted = budgets * (2 + 4 * posets)
     assert len(calls["variance"]) == len(calls["cv2"]) == len(calls["alpha"]) == weighted
     assert set(calls["alpha"]) == set(calls["variance"]) == set(calls["cv2"])
-    # one enumeration per cell: the weighted cells, the fixture's uniform
-    # and ideal draws, the posets' uniform draws; then one per instance
-    # and budget in the zero-variance check
-    cells = weighted + budgets * (2 + posets)
+    # one enumeration per cell: the weighted cells, the fixture's ideal
+    # draw, the posets' uniform draws; then one per instance and budget in
+    # the zero-variance check
+    cells = weighted + budgets * (1 + posets)
     assert len(calls["enumerate"]) == cells + budgets * (1 + posets)
     for name in calls:
         assert set(calls[name].values()) == {1}, name
@@ -81,11 +86,32 @@ def test_unbiasedness_passes_on_a_zero_cost_successor_forest():
         verify.check_alpha_suite(cells[:1])
 
 
-def test_alpha_suite_rejects_a_draw_without_alpha():
-    cell = verify.Cell("fixture", fixture_example_tree(), 2, "uniform-dist", UniformHyperchild(), 1000)
-    assert verify.check_unbiasedness([cell]).passed
-    with pytest.raises(ValueError, match="ImportanceInduced"):
-        verify.check_alpha_suite([cell])
+def test_alpha_suite_takes_the_uniform_draw():
+    # the uniform draw and the weighted draw of a constant weight have one
+    # support, so they give one bounds row
+    t = fixture_example_tree()
+    uniform = verify.Cell("fixture", t, 2, "uniform", UniformHyperchild(), 1000)
+    constant = verify.Cell("fixture", t, 2, "uniform", ImportanceInduced(lambda node: 1.0), 1000)
+    rows = []
+    for cell in (uniform, constant):
+        sink = []
+        res = verify.check_alpha_suite([cell], sink)
+        assert res.passed and res.instances == 1
+        rows.append(sink)
+    assert uniform.alpha == constant.alpha
+    assert rows[0] == rows[1] and len(rows[0]) == 1
+
+
+def test_identity_hypernodes_hold_equal_state_members():
+    # On an antichain two members with one deleted set share a child, and
+    # the sampled hypernodes hold it twice where two positions pick it.
+    tree = LEDecisionTree(Poset(5, [0] * 5))
+    rng = RandomSource(derive_seed(1, "split"))
+    shared = [h for h in verify._identity_hypernodes(tree, 3, rng) if len(set(h)) < len(h)]
+    assert shared
+    for h in shared:
+        lhs, rhs = cost_split_identity(tree, h, 3)
+        assert lhs == rhs
 
 
 class _SlottedWeight:
