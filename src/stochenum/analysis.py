@@ -121,11 +121,10 @@ def _moments(pairs) -> tuple[Fraction, Fraction, Fraction]:
 
 @dataclass(frozen=True)
 class Outcome:
-    """One complete hypernode sequence with its probability and estimate."""
+    """One complete hypernode sequence's probability and estimate."""
 
     probability: object
     estimate: object
-    sequence: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,6 @@ class OutcomeDistribution:
     outcomes: tuple[Outcome, ...]
     mean: object
     variance: object
-    cv2: object | None
     total_probability: object
 
     def __len__(self) -> int:
@@ -177,7 +175,6 @@ def enumerate_distribution(
     budget: int,
     dist: HypernodeDistribution,
     max_sequences: int = DEFAULT_SEQUENCE_CAP,
-    keep_sequences: bool = False,
 ) -> OutcomeDistribution:
     """Depth-first enumeration of every walk outcome under ``dist``.
 
@@ -200,8 +197,7 @@ def enumerate_distribution(
 
     def candidates(nodes):
         """Per candidate w of size m with P(w) = pn/pd: (w, pn, pd, m * pd,
-        f = |v| * C(|S|-1, m-1) * pn, k_sel, k_den * m, the Hypernode when
-        sequences are kept); None when terminal."""
+        f = |v| * C(|S|-1, m-1) * pn, k_sel, k_den * m); None when terminal."""
         exp = _expand(t, nodes, budget)
         if exp is None:
             return None
@@ -209,10 +205,8 @@ def enumerate_distribution(
         k_of = dict(zip(exp.succ, costs))
         size_binom = len(nodes) * exp.binom
         return [
-            (
-                wnodes, p.numerator, p.denominator, len(wnodes) * p.denominator, size_binom * p.numerator,
-                sum(k_of[x] for x in wnodes), k_den * len(wnodes), Hypernode(wnodes) if keep_sequences else None,
-            )
+            (wnodes, p.numerator, p.denominator, len(wnodes) * p.denominator, size_binom * p.numerator,
+             sum(k_of[x] for x in wnodes), k_den * len(wnodes))
             for wnodes, p in dist.support(exp.succ, budget)
         ]
 
@@ -220,7 +214,7 @@ def enumerate_distribution(
     # product dn/dd, and the running total tn / (dd * tq), whose
     # denominator keeps dd's so that it grows by one level's factors per
     # level.
-    def rec(nodes, pn, pd, dn, dd, tn, tq, seq):
+    def rec(nodes, pn, pd, dn, dd, tn, tq):
         nonlocal count
         if nodes not in candidates_of:
             candidates_of[nodes] = candidates(nodes)
@@ -229,26 +223,25 @@ def enumerate_distribution(
             count += 1
             if count > max_sequences:
                 raise CapExceeded(f"more than {max_sequences} hypernode sequences")
-            outcomes.append(Outcome(Fraction(pn, pd), Fraction(size0 * tn, dd * tq), seq))
+            outcomes.append(Outcome(Fraction(pn, pd), Fraction(size0 * tn, dd * tq)))
             return
-        for wnodes, p_num, p_den, m_den, f, k_sel, k_m, hyper in cands:
+        for wnodes, p_num, p_den, m_den, f, k_sel, k_m in cands:
             # d_k = m / (|v| * C(|S|-1, m-1) * p)
             dn2 = dn * m_den
             if k_sel:  # total += (k_sel / (k_den * m)) * D
                 tn2, tq2 = tn * f * k_m + k_sel * dn2 * tq, tq * k_m
             else:
                 tn2, tq2 = tn * f, tq
-            rec(wnodes, pn * p_num, pd * p_den, dn2, dd * f, tn2, tq2, seq + (hyper,) if seq is not None else None)
+            rec(wnodes, pn * p_num, pd * p_den, dn2, dd * f, tn2, tq2)
 
     costs, k_den = integer_scale([t.cost(v) for v in root.nodes])
     try:
-        rec(root.nodes, 1, 1, 1, 1, sum(costs), k_den * size0, (root,) if keep_sequences else None)
+        rec(root.nodes, 1, 1, 1, 1, sum(costs), k_den * size0)
     finally:
         del rec  # rec refers to itself: break that cycle so the tree and memos free now
 
     total_p, mean, variance = _moments((o.probability, o.estimate) for o in outcomes)
-    cv2 = variance / (mean * mean) if mean != 0 else None
-    return OutcomeDistribution(tuple(outcomes), mean, variance, cv2, total_p)
+    return OutcomeDistribution(tuple(outcomes), mean, variance, total_p)
 
 
 @dataclass(frozen=True)

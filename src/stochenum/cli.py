@@ -8,9 +8,11 @@ correctness check suite).
 Exit codes: 0 success, 1 verification or assertion failure (a failed
 ``verify`` check, an ``exact --method both`` mismatch, or a ``sweep
 --verify-small`` pooled mean/exact ratio off 1), 2 usage or input error, 3
-resource cap exceeded or an estimate beyond double range
-(``EstimateOverflow``; one stderr line with the estimate's natural log)
-or a worker process that died (``BrokenProcessPool``; one stderr line).
+resource cap exceeded, an estimate beyond double range
+(``EstimateOverflow``; one stderr line with the estimate's natural log),
+a worker process that died (``BrokenProcessPool``; one stderr line), or
+an instance too deep for the interpreter's recursion limit
+(``RecursionError``; one stderr line).
 """
 
 from __future__ import annotations
@@ -340,7 +342,7 @@ def main(argv=None) -> int:
     try:
         args.threads = _threads(args)
         return handlers[args.command](args)
-    except CapExceeded as exc:
+    except (CapExceeded, RecursionError) as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return 3
     except EstimateOverflow as exc:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +35,7 @@ from .sampling import (
     _draw_two_phase,
     derive_seed,
 )
-from .tree import Hypernode, TreeOracle, hypernode_successors, subtree_cost_function
+from .tree import TreeOracle, hypernode_successors, subtree_cost_function
 
 
 class Draw(NamedTuple):
@@ -141,20 +142,20 @@ def ideal_cost_distribution(t: TreeOracle) -> ImportanceInduced:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One estimator run: the visited hypernodes and per-level accounting.
+    """One estimator run: its estimate and its per-level factors.
 
-    ``estimate`` is |root| times the accumulated cost total.  The sequence
-    fields are None when the run was made without recording (the hot path
-    for large sweeps skips them).
+    ``estimate`` is |root| times the accumulated cost total;
+    ``d_factors`` are the level factors D_k in level order, and
+    ``d_products`` their running products D, the same floats the walk
+    multiplies.
     """
 
-    root_size: int
     estimate: float
-    stop_level: int
-    hypernodes: tuple | None = None
-    d_factors: tuple | None = None
-    d_products: tuple | None = None
-    level_costs: tuple | None = None
+    d_factors: tuple
+
+    @property
+    def d_products(self) -> tuple:
+        return tuple(itertools.accumulate(self.d_factors, operator.mul))
 
 
 def _walk(
@@ -162,24 +163,18 @@ def _walk(
     budget: int,
     dist: HypernodeDistribution,
     choice: ChoiceSource,
-    record: bool,
 ) -> Trajectory:
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     cost = t.cost
-    root = t.root_hypernode
-    nodes = root.nodes
+    nodes = t.root_hypernode.nodes
     size0 = len(nodes)
     csum = 0.0
     for v in nodes:
         csum += cost(v)
     total = csum / size0
     d_product = 1.0
-    hypernodes = [root] if record else None
-    d_factors = [] if record else None
-    d_products = [] if record else None
-    level_costs = [csum / size0] if record else None
-    level = 0
+    d_factors = []
     while True:
         succ = hypernode_successors(nodes, t)
         if not succ:
@@ -199,22 +194,9 @@ def _walk(
         for w in wnodes:
             csum += cost(w)
         total += (csum / m) * d_product
-        level += 1
-        if record:
-            hypernodes.append(Hypernode(wnodes))
-            d_factors.append(d_k)
-            d_products.append(d_product)
-            level_costs.append(csum / m)
+        d_factors.append(d_k)
         nodes = wnodes
-    return Trajectory(
-        root_size=size0,
-        estimate=size0 * total,
-        stop_level=level,
-        hypernodes=tuple(hypernodes) if record else None,
-        d_factors=tuple(d_factors) if record else None,
-        d_products=tuple(d_products) if record else None,
-        level_costs=tuple(level_costs) if record else None,
-    )
+    return Trajectory(size0 * total, tuple(d_factors))
 
 
 def sep_estimate(
@@ -222,7 +204,6 @@ def sep_estimate(
     budget: int,
     dist: HypernodeDistribution,
     choice: ChoiceSource,
-    record: bool = True,
 ) -> Trajectory:
     """One estimator run from the root under a hypernode distribution.
 
@@ -230,7 +211,7 @@ def sep_estimate(
     gives the importance-weighted variant, whose level factor simplifies
     to (|w|/|x|) * r(S)/r(w).
     """
-    return _walk(t, budget, dist, choice, record)
+    return _walk(t, budget, dist, choice)
 
 
 @dataclass(frozen=True)
@@ -322,7 +303,7 @@ def _run_block(t, budget, dist, seed, start, stop) -> list[float]:
         if i % RUN_GROUP == 0:
             choice = RandomChoice(RandomSource(derive_seed(seed, i // RUN_GROUP)))
         try:
-            out.append(_walk(t, budget, dist, choice, record=False).estimate)
+            out.append(_walk(t, budget, dist, choice).estimate)
         except EstimateOverflow:
             raise
         except Exception as exc:

@@ -214,7 +214,7 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> list[SweepRow]:
         for poset_idx in range(cfg.posets_at(n)):
             tasks.append((cfg, point_idx, poset_idx))
     if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
             results = list(pool.map(_poset_task, tasks, chunksize=max(1, len(tasks) // (threads * 8))))
     else:
         results = [_poset_task(t) for t in tasks]

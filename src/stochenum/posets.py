@@ -96,9 +96,6 @@ class Poset:
                 raise ValueError(f"relation cycle through element {i}")
         return cls(n, gt)
 
-    def greater(self, i: int, j: int) -> bool:
-        return bool(self.gt[i] >> j & 1)
-
     def relation_pairs(self) -> list[tuple[int, int]]:
         """All closed pairs (i, j) with v_i > v_j, sorted."""
         return [(i, j) for i in range(self.n) for j in range(self.n) if self.gt[i] >> j & 1]

@@ -17,8 +17,7 @@ runs of a group consume it in order.  Any split of the run indices
 into blocks therefore concatenates to the same estimates: a block that
 starts mid-group replays the group's earlier runs and discards them.
 Groups share a stream because hashing a seed and initialising MT19937
-cost about a third of a budget-1 run.  (Contract v1 seeded one stream
-per run with ``derive_seed(s, i)``.)
+cost about a third of a budget-1 run.
 """
 
 from __future__ import annotations

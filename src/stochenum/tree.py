@@ -46,9 +46,6 @@ class Hypernode:
     def __iter__(self) -> Iterator:
         return iter(self.nodes)
 
-    def __contains__(self, node) -> bool:
-        return node in self.nodes
-
     def __repr__(self) -> str:
         return f"Hypernode({list(self.nodes)!r})"
 

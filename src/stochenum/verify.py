@@ -8,11 +8,14 @@ enumeration, the alpha diagnostics with their bound chain, and the
 zero-variance property of exact-cost weights.  The CLI exposes this as a
 user-facing command; the test suite calls the same functions.
 
-The exact checks (unbiasedness, the variance forms, alpha) take lists
-of ``Cell``: one (instance, budget, draw) each, whose enumeration,
-variance recursion, CV^2 recursion and alpha recursion run on first use
-and are kept as scalars.  ``run_checks`` builds each cell once and hands
-the same object to every check that reads it, so each is analyzed once.
+The exact checks (unbiasedness, the variance forms, alpha, zero
+variance) take lists of ``Cell``: one (instance, budget, draw) each,
+whose enumeration, variance recursion, CV^2 recursion and alpha
+recursion run on first use and are kept as scalars, every enumeration
+under the suite's one sequence cap.  ``run_checks`` builds each cell
+once and hands the same object to every check that reads it, so each is
+analyzed once.  The zero-variance check also samples each of its cells'
+runs through ``estimators._run_block``, under stream contract v2.
 """
 
 from __future__ import annotations
@@ -35,11 +38,12 @@ from .errors import CapExceeded
 from .estimators import (
     ImportanceInduced,
     UniformHyperchild,
+    _run_block,
     ideal_cost_distribution,
     sep_estimate,
 )
 from .posets import LEDecisionTree, Poset, count_linear_extensions, fixture_poset, importance_function, random_poset
-from .sampling import RandomChoice, RandomSource, ScriptedChoice, derive_seed
+from .sampling import RandomSource, ScriptedChoice, derive_seed
 from .tree import (
     ExplicitTree,
     Hypernode,
@@ -322,24 +326,21 @@ def check_alpha_suite(cells, bounds_sink=None) -> CheckResult:
     return res
 
 
-def check_zero_variance(instances, budgets, runs, seed) -> CheckResult:
+def check_zero_variance(cells, runs, seed) -> CheckResult:
     """Exact-cost weights give back the exact cost on every single run."""
     res = CheckResult("zero variance under exact-cost weights")
-    for label, t in instances:
-        cost = float(_exact_cost(t))
-        dist = ideal_cost_distribution(t)
-        for budget in budgets:
-            od = enumerate_distribution(t, budget, dist, max_sequences=200_000)
-            res.instances += 1
-            if od.variance != 0:
-                res.fail(f"{label} B={budget}: enumerated variance {od.variance} != 0")
+    for cell in cells:
+        variance = cell.enumeration[2]
+        res.instances += 1
+        if variance != 0:
+            res.fail(f"{cell}: enumerated variance {variance} != 0")
+            return res
+        cost = float(cell.cost)
+        run_seed = derive_seed(seed, "zv", cell.label, cell.budget)
+        for k, est in enumerate(_run_block(cell.t, cell.budget, cell.dist, run_seed, 0, runs)):
+            if abs(est - cost) > 1e-9 * max(1.0, abs(cost)):
+                res.fail(f"{cell} run {k}: estimate {est} != cost {cost}")
                 return res
-            for k in range(runs):
-                choice = RandomChoice(RandomSource(derive_seed(seed, "zv", label, budget, k)))
-                est = sep_estimate(t, budget, dist, choice, record=False).estimate
-                if abs(est - cost) > 1e-9 * max(1.0, abs(cost)):
-                    res.fail(f"{label} B={budget} run {k}: estimate {est} != cost {cost}")
-                    return res
     return res
 
 
@@ -369,20 +370,21 @@ def run_checks(
     # one cell per (instance, budget, draw), handed to every check that reads it
     unbiased_cells: list[Cell] = []
     weighted_cells: list[Cell] = []
+    ideal_cells: list[Cell] = []
     leafcount = ImportanceInduced(fixture_example_importance())
     instances = [("fixture-tree", fixture, [
         ("uniform", UniformHyperchild(), (unbiased_cells, weighted_cells)),
         ("leafcount", leafcount, (unbiased_cells, weighted_cells)),
-        ("ideal", ideal_cost_distribution(fixture), (unbiased_cells,)),
+        ("ideal", ideal_cost_distribution(fixture), (unbiased_cells, ideal_cells)),
     ])]
-    zero_var_instances = [("fixture-tree", fixture)]
     for i, p in enumerate(poset_instances):
         tree = LEDecisionTree(p)
         label = f"poset-{i}(n={p.n})"
         draws = [(kind, ImportanceInduced(importance_function(tree, kind)), (unbiased_cells, weighted_cells))
                  for kind in POSET_IMPORTANCE]
-        instances.append((label, tree, draws + [("uniform-dist", UniformHyperchild(), (unbiased_cells,))]))
-        zero_var_instances.append((label, tree))
+        draws.append(("uniform-dist", UniformHyperchild(), (unbiased_cells,)))
+        draws.append(("ideal", ideal_cost_distribution(tree), (ideal_cells,)))
+        instances.append((label, tree, draws))
     for label, t, draws in instances:
         for budget in budgets:
             for draw_label, dist, readers in draws:
@@ -396,6 +398,6 @@ def run_checks(
         check_unbiasedness(unbiased_cells),
         check_variance_forms(weighted_cells),
         check_alpha_suite(weighted_cells, bounds_sink),
-        check_zero_variance(zero_var_instances, budgets, runs=50, seed=seed),
+        check_zero_variance(ideal_cells, runs=50, seed=seed),
     ]
     return results

@@ -2,7 +2,8 @@
 
 The textbook forms of what ``stochenum.analysis`` computes on integers:
 the depth-first outcome enumeration with its moments and per-depth alpha
-maxima, those alpha values again in the probability-ratio form that
+maxima, each outcome's hypernode sequence in the same order, those alpha
+values again in the probability-ratio form that
 holds for any draw, and the variance and CV^2 hyperchild recursions.
 Every value is a ``Fraction`` and every step is the formula as written,
 with a memo keyed on the sorted member tuple.  Sums run over successor
@@ -70,6 +71,23 @@ def reference_enumeration(t, budget, dist, weight=None):
     mean = sum(p * e for p, e, _ in outcomes)
     variance = sum(p * (e - mean) ** 2 for p, e, _ in outcomes)
     return outcomes, mean, variance, total_p, level_max
+
+
+def reference_sequences(t, budget, dist):
+    """Each outcome's hypernode sequence, as sorted member tuples from the
+    root's on, in the depth-first order of ``reference_enumeration``."""
+    sequences = []
+
+    def rec(seq):
+        succ = hypernode_successors(seq[-1], t)
+        if not succ:
+            sequences.append(seq)
+            return
+        for wnodes, _ in dist.support(succ, budget):
+            rec(seq + (wnodes,))
+
+    rec((t.root_hypernode.nodes,))
+    return sequences
 
 
 def reference_alpha(t, budget, dist):

@@ -1,4 +1,5 @@
-"""A hypernode distribution given as a table, for tests and worked examples."""
+"""Hypernode distributions for tests and worked examples: one given as a
+table, and one that records the draws of another."""
 
 from fractions import Fraction
 from math import comb
@@ -37,3 +38,17 @@ class ExplicitDistribution(HypernodeDistribution):
 
     def support(self, succ, budget):
         yield from self._options(succ)
+
+
+class RecordingDistribution(HypernodeDistribution):
+    """Draws as ``dist`` does and appends each draw's successor tuple and
+    drawn nodes to ``draws``, so a walk's path can be read back."""
+
+    def __init__(self, dist: HypernodeDistribution):
+        self.dist = dist
+        self.draws = []
+
+    def draw(self, succ, budget, choice):
+        d = self.dist.draw(succ, budget, choice)
+        self.draws.append((succ, d.nodes))
+        return d

@@ -184,8 +184,7 @@ def test_criterion_5_zero_variance():
     fixture = fixture_example_tree()
     dist = ideal_cost_distribution(fixture)
     for i in range(1000):
-        est = sep_estimate(fixture, 2, dist, RandomChoice(RandomSource(derive_seed(SEED, "zv", i))),
-                           record=False).estimate
+        est = sep_estimate(fixture, 2, dist, RandomChoice(RandomSource(derive_seed(SEED, "zv", i)))).estimate
         assert abs(est - 14.0) <= 1e-9 * 14.0
 
     checked = 0

@@ -7,7 +7,13 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from exact_reference import reference_alpha, reference_cv2, reference_enumeration, reference_variance
+from exact_reference import (
+    reference_alpha,
+    reference_cv2,
+    reference_enumeration,
+    reference_sequences,
+    reference_variance,
+)
 from explicit_distribution import ExplicitDistribution
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,17 +48,17 @@ UNIFORM = lambda node: 1.0
 
 def test_enumeration_uniform_budget2_fixture():
     t = fixture_example_tree()
-    od = enumerate_distribution(t, 2, UniformHyperchild(), keep_sequences=True)
+    od = enumerate_distribution(t, 2, UniformHyperchild())
     assert len(od) == 11
     assert od.total_probability == 1
     assert od.mean == 14
     # the worked uniform trajectory: {a},{b,c},{d,e},{h,i},{m} has
-    # probability (1)(1/3)(1/3)(1) and lands on 51/4
-    target = (
-        Hypernode(("a",)), Hypernode(("b", "c")), Hypernode(("d", "e")),
-        Hypernode(("h", "i")), Hypernode(("m",)),
-    )
-    hits = [o for o in od.outcomes if o.sequence == target]
+    # probability (1)(1/3)(1/3)(1) and lands on 51/4; the reference lists
+    # sequences in the enumeration's depth-first order
+    target = (("a",), ("b", "c"), ("d", "e"), ("h", "i"), ("m",))
+    sequences = reference_sequences(t, 2, UniformHyperchild())
+    assert len(sequences) == len(od)
+    hits = [o for o, seq in zip(od.outcomes, sequences) if seq == target]
     assert len(hits) == 1
     assert hits[0].probability == Fraction(1, 9)
     assert hits[0].estimate == Fraction(51, 4)
@@ -163,15 +169,14 @@ def test_alpha_on_worked_weighted_trajectory():
     # per-level factors: 1, (5/4)(8/11), 2*(3/6), 1  ->  10/11
     t = fixture_example_tree()
     w = fixture_example_importance()
-    seq = (
-        Hypernode(("a",)), Hypernode(("b", "c")), Hypernode(("d", "e")),
-        Hypernode(("h", "i")), Hypernode(("m",)),
-    )
-    # the reference lists alphas in the enumeration's depth-first order
-    od = enumerate_distribution(t, 2, ImportanceInduced(w), keep_sequences=True)
+    seq = (("a",), ("b", "c"), ("d", "e"), ("h", "i"), ("m",))
+    # the reference lists alphas and sequences in the enumeration's
+    # depth-first order
+    od = enumerate_distribution(t, 2, ImportanceInduced(w))
     alphas, _ = reference_alpha(t, 2, ImportanceInduced(w))
-    assert len(alphas) == len(od)
-    assert [a for o, a in zip(od.outcomes, alphas) if o.sequence == seq] == [Fraction(10, 11)]
+    sequences = reference_sequences(t, 2, ImportanceInduced(w))
+    assert len(alphas) == len(sequences) == len(od)
+    assert [a for s, a in zip(sequences, alphas) if s == seq] == [Fraction(10, 11)]
 
 
 def test_alpha_rejects_nonpositive_weight():
@@ -346,9 +351,9 @@ def test_state_memo_equals_member_memo():
     for poset in (random_poset(4, 0.0, 0), random_poset(5, 0.15, 1)):
         tree = LEDecisionTree(poset)
         cost = count_linear_extensions(poset)
-        od = enumerate_distribution(tree, 2, UniformHyperchild(), keep_sequences=True)
-        assert count_sequences(tree, 2) == len(od)
-        shared += any(len(set(h)) < len(h) for o in od.outcomes for h in o.sequence)
+        sequences = reference_sequences(tree, 2, UniformHyperchild())
+        assert count_sequences(tree, 2) == len(enumerate_distribution(tree, 2, UniformHyperchild())) == len(sequences)
+        shared += any(len(set(h)) < len(h) for seq in sequences for h in seq)
         for kind in ("uniform", "f1", "f2", "f3", "ideal"):
             weight = importance_function(tree, kind)
             dist = ImportanceInduced(weight)
@@ -411,8 +416,9 @@ def test_enumeration_expands_each_hypernode_once(monkeypatch):
 
     monkeypatch.setattr(analysis, "_expand", spy)
     tree = LEDecisionTree(random_poset(5, 0.2, 1))
-    od = enumerate_distribution(tree, 2, ImportanceInduced(importance_function(tree, "f2")), keep_sequences=True)
-    visits = [h.nodes for o in od.outcomes for h in o.sequence]
+    dist = ImportanceInduced(importance_function(tree, "f2"))
+    enumerate_distribution(tree, 2, dist)
+    visits = [h for seq in reference_sequences(tree, 2, dist) for h in seq]
     assert set(calls) == set(visits) and len(visits) > len(calls)
     assert set(calls.values()) == {1}
 
@@ -425,7 +431,6 @@ def _assert_enumeration_matches_reference(t, budget, dist):
     od = enumerate_distribution(t, budget, dist)
     assert [(o.probability, o.estimate) for o in od.outcomes] == [(p, e) for p, e, _ in outcomes]
     assert (od.mean, od.variance, od.total_probability) == (mean, variance, total_p)
-    assert od.cv2 == (variance / (mean * mean) if mean != 0 else None)
     assert all(type(x) is Fraction for o in od.outcomes for x in (o.probability, o.estimate))
     _assert_alpha_matches_reference(t, budget, dist, [p for p, _, _ in outcomes])
 

@@ -113,6 +113,18 @@ def test_dead_worker_exit_code(capsys, monkeypatch, module, name, argv):
     assert err.count("\n") == 1 and err.startswith("worker process died") and "Traceback" not in err
 
 
+def test_recursion_limit_exit_code(capsys, monkeypatch):
+    # An instance deep enough for the exact recursion to pass the
+    # interpreter's limit ends in one stderr line, not a traceback.
+    def too_deep(**kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "run_checks", too_deep)
+    code, out, err = run_cli(capsys, "verify")
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and "recursion depth" in err and "Traceback" not in err
+
+
 def test_estimate_with_squares_beyond_double_range(tmp_path, capsys):
     # Estimates near 1e198 are finite, but their squares are not.
     path = tmp_path / "p.poset"

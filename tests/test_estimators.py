@@ -6,7 +6,7 @@ import random
 import tracemalloc
 
 import pytest
-from explicit_distribution import ExplicitDistribution
+from explicit_distribution import ExplicitDistribution, RecordingDistribution
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,7 +46,7 @@ def contract_walks(t, budget, dist, seed, runs):
     for i in range(runs):
         if i % RUN_GROUP == 0:
             choice = RandomChoice(RandomSource(derive_seed(seed, i // RUN_GROUP)))
-        out.append(_walk(t, budget, dist, choice, record=False))
+        out.append(_walk(t, budget, dist, choice))
     return out
 
 
@@ -58,12 +58,13 @@ def test_uniform_budget2_scripted_replay():
         ("subset", ("h", "i")),
         ("subset", ("m",)),
     ])
-    traj = sep_estimate(t, 2, UniformHyperchild(), script)
+    dist = RecordingDistribution(UniformHyperchild())
+    traj = sep_estimate(t, 2, dist, script)
     assert traj.estimate == 12.75
     assert traj.d_products == (2.0, 3.0, 4.5, 2.25)
-    assert traj.stop_level == 4
-    assert traj.hypernodes[0] == Hypernode(("a",))
-    assert traj.hypernodes[2] == Hypernode(("d", "e"))
+    assert len(traj.d_factors) == len(dist.draws) == 4
+    assert dist.draws[0][0] == ("b", "c")
+    assert Hypernode(dist.draws[1][1]) == Hypernode(("d", "e"))
     assert script.exhausted()
 
 
@@ -116,9 +117,12 @@ def test_weighted_is_the_induced_distribution_walk():
     t = fixture_example_tree()
     w = fixture_example_importance()
     for seed in range(10):
-        traj = sep_estimate(t, 2, ImportanceInduced(w), RandomChoice(RandomSource(seed)))
+        dist = RecordingDistribution(ImportanceInduced(w))
+        traj = sep_estimate(t, 2, dist, RandomChoice(RandomSource(seed)))
+        path = [t.root_hypernode.nodes] + [chosen for _, chosen in dist.draws]
+        assert len(traj.d_factors) == len(dist.draws)
         for k, d_k in enumerate(traj.d_factors):
-            x, chosen = traj.hypernodes[k], traj.hypernodes[k + 1]
+            x, chosen = path[k], path[k + 1]
             r_all = sum(w(v) for v in hypernode_successors(x, t))
             assert d_k == pytest.approx(len(chosen) / len(x) * r_all / sum(w(v) for v in chosen), rel=1e-12)
 
@@ -130,9 +134,10 @@ def test_budget_one_weighted_equals_single_path():
     t = fixture_example_tree()
     w = fixture_example_importance()
     for seed in range(10):
-        traj = sep_estimate(t, 1, ImportanceInduced(w), RandomChoice(RandomSource(seed)))
-        path = [h.nodes[0] for h in traj.hypernodes]
-        assert all(len(h) == 1 for h in traj.hypernodes)
+        dist = RecordingDistribution(ImportanceInduced(w))
+        traj = sep_estimate(t, 1, dist, RandomChoice(RandomSource(seed)))
+        assert all(len(chosen) == 1 for _, chosen in dist.draws)
+        path = ["a"] + [chosen[0] for _, chosen in dist.draws]
         total, product = 1.0, 1.0
         for parent, child in zip(path, path[1:]):
             product *= sum(w(v) for v in t.successors(parent)) / w(child)
@@ -215,7 +220,7 @@ def test_ideal_cost_distribution_zero_variance_on_fixture():
     t = fixture_example_tree()
     dist = ideal_cost_distribution(t)
     for seed in range(200):
-        traj = sep_estimate(t, 2, dist, RandomChoice(seed), record=False)
+        traj = sep_estimate(t, 2, dist, RandomChoice(seed))
         assert traj.estimate == pytest.approx(14.0, rel=1e-12)
 
 
@@ -470,8 +475,7 @@ def test_overflow_passes_through_run_block_with_log_value():
     with pytest.raises(EstimateOverflow) as fast:
         _run_block(tree, 1, UniformHyperchild(), 4, 0, 3)
     with pytest.raises(EstimateOverflow) as generic:
-        _walk(tree, 1, UniformHyperchild(),
-              RandomChoice(RandomSource(derive_seed(4, 0))), record=False)
+        _walk(tree, 1, UniformHyperchild(), RandomChoice(RandomSource(derive_seed(4, 0))))
     assert math.isfinite(fast.value.log_value)
     assert fast.value.log_value == generic.value.log_value
     with pytest.raises(EstimateOverflow):
@@ -483,27 +487,25 @@ def test_estimate_overflow_survives_pickling():
     assert type(back) is EstimateOverflow and back.log_value == 710.8
 
 
-def test_trajectory_recording_optional():
-    t = fixture_example_tree()
-    traj = sep_estimate(t, 2, UniformHyperchild(), RandomChoice(1), record=False)
-    assert traj.hypernodes is None and traj.d_factors is None
-    assert traj.estimate > 0
-
-
 def test_trajectory_fields_reconstruct_estimate():
+    # Under the uniform draw D_k = |S| / |x|; the estimate is |root| times
+    # the root's mean cost plus each level's mean cost times D.
     t = fixture_example_tree()
+    mean_cost = lambda nodes: sum(t.cost(v) for v in nodes) / len(nodes)
     for seed in range(6):
-        traj = sep_estimate(t, 2, UniformHyperchild(), RandomChoice(seed))
-        assert traj.stop_level == len(traj.d_factors)
-        total = traj.level_costs[0]
+        dist = RecordingDistribution(UniformHyperchild())
+        traj = sep_estimate(t, 2, dist, RandomChoice(seed))
+        path = [t.root_hypernode.nodes] + [chosen for _, chosen in dist.draws]
+        assert len(traj.d_factors) == len(traj.d_products) == len(dist.draws)
+        total = mean_cost(path[0])
         product = 1.0
-        for level in range(traj.stop_level):
-            product *= traj.d_factors[level]
-            assert product == pytest.approx(traj.d_products[level], rel=1e-12)
-            total += traj.level_costs[level + 1] * traj.d_products[level]
-        assert traj.estimate == pytest.approx(traj.root_size * total, rel=1e-12)
-        tail = traj.hypernodes[-1]
-        assert all(t.successors(v) == () for v in tail)
+        for k, (succ, chosen) in enumerate(dist.draws):
+            assert traj.d_factors[k] == pytest.approx(len(succ) / len(path[k]), rel=1e-12)
+            product *= traj.d_factors[k]
+            assert traj.d_products[k] == product
+            total += mean_cost(chosen) * product
+        assert traj.estimate == pytest.approx(len(path[0]) * total, rel=1e-12)
+        assert all(t.successors(v) == () for v in path[-1])
 
 
 def test_multi_root_forest_unbiased():

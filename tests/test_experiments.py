@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from stochenum import experiments
 from stochenum.experiments import (
     SweepConfig,
     compare_importance,
@@ -64,6 +65,29 @@ def test_replicate_scaling():
     assert scaled.replicates(20) == 100
     full = SweepConfig(kind="n", swept=(6,), fixed_budget=5, seed=1, full_protocol=True)
     assert full.replicates(6) == 36
+
+
+def test_run_sweep_starts_no_idle_workers(monkeypatch):
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    cfg = small_config(swept=(5,), posets_per_point=2)
+    # two tasks: two workers, not eight
+    assert run_sweep(cfg, threads=8) == run_sweep(cfg)
+    assert started == [2]
 
 
 def test_row_counts_for_both_protocols():

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from explicit_distribution import RecordingDistribution
 
 from stochenum.analysis import cost_split_identity
 from stochenum.errors import CapExceeded
@@ -65,16 +66,22 @@ def test_fixture_tree_shape():
 
 
 def test_hypernode_cost_examples():
-    # The walk charges each level the mean member cost of its hypernode.
+    # The walk charges each level the mean member cost of its hypernode,
+    # times the running product D.
     t = fixture_example_tree()
     script = ScriptedChoice([
         ("subset", ("b", "c")), ("subset", ("d", "e")), ("subset", ("h", "i")), ("subset", ("m",)),
     ])
-    traj = sep_estimate(t, 2, UniformHyperchild(), script)
-    assert traj.level_costs == (1.0,) * 5
+    dist = RecordingDistribution(UniformHyperchild())
+    traj = sep_estimate(t, 2, dist, script)
+    assert [len(chosen) for _, chosen in dist.draws] == [2, 2, 2, 1]
+    assert traj.estimate == 1.0 + sum(traj.d_products)
     synth = ExplicitTree({"r": ("d", "e")}, roots=("r",), costs={"d": 2.5, "e": 0.0, "r": 1.0})
-    traj = sep_estimate(synth, 2, UniformHyperchild(), ScriptedChoice([("subset", ("d", "e"))]))
-    assert traj.level_costs == (1.0, 1.25)
+    dist = RecordingDistribution(UniformHyperchild())
+    traj = sep_estimate(synth, 2, dist, ScriptedChoice([("subset", ("d", "e"))]))
+    assert Hypernode(dist.draws[0][1]) == Hypernode(("d", "e"))
+    assert traj.d_products == (2.0,)
+    assert traj.estimate == 1.0 + 1.25 * 2.0
 
 
 def test_hypernode_successors_examples():

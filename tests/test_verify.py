@@ -9,7 +9,7 @@ import pytest
 from stochenum import verify
 from stochenum.analysis import cost_split_identity
 from stochenum.cli import main
-from stochenum.estimators import ImportanceInduced, UniformHyperchild
+from stochenum.estimators import ImportanceInduced, UniformHyperchild, ideal_cost_distribution
 from stochenum.posets import LEDecisionTree, Poset
 from stochenum.sampling import RandomSource, derive_seed
 from stochenum.tree import ExplicitTree, fixture_example_importance, fixture_example_tree
@@ -65,12 +65,40 @@ def test_run_checks_analyzes_each_weighted_cell_once(monkeypatch):
     assert len(calls["variance"]) == len(calls["cv2"]) == len(calls["alpha"]) == weighted
     assert set(calls["alpha"]) == set(calls["variance"]) == set(calls["cv2"])
     # one enumeration per cell: the weighted cells, the fixture's ideal
-    # draw, the posets' uniform draws; then one per instance and budget in
-    # the zero-variance check
+    # draw, the posets' uniform draws, and the posets' ideal draws, which
+    # only the zero-variance check reads (it shares the fixture's)
     cells = weighted + budgets * (1 + posets)
-    assert len(calls["enumerate"]) == cells + budgets * (1 + posets)
+    assert len(calls["enumerate"]) == cells + budgets * posets
     for name in calls:
         assert set(calls[name].values()) == {1}, name
+
+
+def test_max_sequences_caps_every_enumeration(monkeypatch):
+    caps = Counter()
+    enumerate_distribution = verify.enumerate_distribution
+
+    def spy(t, budget, dist, max_sequences=None):
+        caps[max_sequences] += 1
+        return enumerate_distribution(t, budget, dist, max_sequences)
+
+    monkeypatch.setattr(verify, "enumerate_distribution", spy)
+    results = verify.run_checks(max_n=4, max_budget=2, posets=4, seed=3, max_sequences=2000)
+    assert all(r.passed for r in results)
+    assert set(caps) == {2000}
+
+
+def test_zero_variance_reads_cells():
+    # the fixture's ideal draw at each budget: an exact variance of 0, and
+    # the exact cost on every sampled run
+    t = fixture_example_tree()
+    dist = ideal_cost_distribution(t)
+    cells = [verify.Cell("fixture", t, budget, "ideal", dist, 1000) for budget in (1, 2, 3)]
+    res = verify.check_zero_variance(cells, runs=100, seed=5)
+    assert res.passed and res.instances == 3
+    # a draw that is not zero-variance fails on its enumeration
+    cells = [verify.Cell("fixture", t, 2, "uniform", UniformHyperchild(), 1000)]
+    res = verify.check_zero_variance(cells, runs=100, seed=5)
+    assert not res.passed and "enumerated variance" in res.failures[0]
 
 
 def test_unbiasedness_passes_on_a_zero_cost_successor_forest():
