@@ -27,7 +27,6 @@ from .estimators import (
     RunSummary,
     Trajectory,
     UniformHyperchild,
-    ideal_cost_distribution,
     run_many,
     sep_estimate,
     summarize,
@@ -69,7 +68,6 @@ from .tree import (
     fixture_example_importance,
     fixture_example_tree,
     hypernode_successors,
-    subtree_cost_function,
 )
 
 __version__ = "0.1.0"

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 from .errors import CapExceeded
 from .estimators import HypernodeDistribution, integer_scale
-from .tree import Hypernode, TreeOracle, hypernode_successors, subtree_cost_function
+from .tree import Hypernode, TreeOracle, hypernode_successors
 
 DEFAULT_SEQUENCE_CAP = 1_000_000
 DEFAULT_STATE_CAP = 1_000_000
@@ -57,8 +57,8 @@ class AlphaUndefined(ValueError):
 
 class _Expansion(NamedTuple):
     """Successor union S, min(budget, |S|), C(|S|-1, take-1), and, when
-    asked for, the subtree costs as numerators over ``c_den`` with c(S)
-    the numerator of their sum."""
+    asked for, the oracle's subtree costs as numerators over ``c_den``
+    with c(S) the numerator of their sum."""
 
     succ: tuple
     take: int
@@ -68,17 +68,17 @@ class _Expansion(NamedTuple):
     c_den: int | None
 
 
-def _expand(t: TreeOracle, nodes, budget: int, subcost=None) -> _Expansion | None:
+def _expand(t: TreeOracle, nodes, budget: int, costs: bool = False) -> _Expansion | None:
     """Expansion of the hypernode ``nodes``; None when it is terminal."""
     succ = hypernode_successors(nodes, t)
     if not succ:
         return None
     take = min(budget, len(succ))
     c_of = c_all = c_den = None
-    if subcost is not None:
-        costs, c_den = integer_scale([subcost(x) for x in succ])
-        c_of = dict(zip(succ, costs))
-        c_all = sum(costs)
+    if costs:
+        scaled, c_den = integer_scale([t.subtree_cost(x) for x in succ])
+        c_of = dict(zip(succ, scaled))
+        c_all = sum(scaled)
     return _Expansion(succ, take, comb(len(succ) - 1, take - 1), c_of, c_all, c_den)
 
 
@@ -254,12 +254,13 @@ class AlphaStats:
     level_max_product: object
 
 
-def _hypernode_recursion(t, budget, max_states, step, subcost=None):
+def _hypernode_recursion(t, budget, max_states, step, costs=False):
     """Memoized recursion over the hypernodes reachable from the root.
 
     ``step(nodes, exp, value_of)`` gives a hypernode's value from its
-    expansion (None when terminal) and the values of its hyperchildren,
-    each keyed by its sorted member tuple.
+    expansion (None when terminal; with subtree costs when ``costs`` is
+    true) and the values of its hyperchildren, each keyed by its sorted
+    member tuple.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -274,7 +275,7 @@ def _hypernode_recursion(t, budget, max_states, step, subcost=None):
         visited += 1
         if visited > max_states:
             raise CapExceeded(f"more than {max_states} hypernode states")
-        memo[nodes] = step(nodes, _expand(t, nodes, budget, subcost), value_of)
+        memo[nodes] = step(nodes, _expand(t, nodes, budget, costs), value_of)
         return memo[nodes]
 
     try:
@@ -325,8 +326,7 @@ def recursive_variance(
             lambda var, c_sel, c_den2: (var.numerator * c_den2 + c_sel * c_sel * var.denominator, var.denominator),
         )
 
-    subcost = subtree_cost_function(t, Fraction)
-    return _hypernode_recursion(t, budget, max_states, step, subcost)
+    return _hypernode_recursion(t, budget, max_states, step, costs=True)
 
 
 def recursive_cv2(
@@ -342,10 +342,8 @@ def recursive_cv2(
     a zero-cost forest, where the ratio is undefined, and on whatever
     ``dist.support`` rejects (a nonpositive weight).
     """
-    subcost = subtree_cost_function(t, Fraction)
-
     def step(nodes, exp, cv2_of):
-        cost_v = sum(subcost(x) for x in nodes)
+        cost_v = sum(map(t.subtree_cost, nodes))
         if cost_v == 0:
             raise ValueError(f"forest at {nodes!r} has zero total cost; CV undefined")
         if exp is None:
@@ -357,7 +355,7 @@ def recursive_cv2(
         )
         return unnormalized / (cost_v * cost_v)
 
-    return _hypernode_recursion(t, budget, max_states, step, subcost)
+    return _hypernode_recursion(t, budget, max_states, step, costs=True)
 
 
 def alpha_stats(
@@ -412,8 +410,7 @@ def alpha_stats(
         level_max[0] = _reduced(level_max[0][0], level_max[0][1] * k)
         return _reduced(e1n, e1d * k), _reduced(e2n, e2d * k * k), _reduced(top[0], top[1] * k), tuple(level_max)
 
-    subcost = subtree_cost_function(t, Fraction)
-    a1, a2, top, levels = _hypernode_recursion(t, budget, max_states, step, subcost)
+    a1, a2, top, levels = _hypernode_recursion(t, budget, max_states, step, costs=True)
     mean = Fraction(*a1)
     product = math.prod((Fraction(*lv) for lv in levels), start=Fraction(1))
     return AlphaStats(mean, Fraction(*a2) - mean * mean, Fraction(*top), product)
@@ -429,7 +426,7 @@ def cost_split_identity(t: TreeOracle, h: Hypernode, budget: int):
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    exp = _expand(t, h.nodes, budget, subtree_cost_function(t, Fraction))
+    exp = _expand(t, h.nodes, budget, costs=True)
     if exp is None:
         return Fraction(0), Fraction(0)
     rhs = sum(sum(exp.c_of[x] for x in sub) for sub in itertools.combinations(exp.succ, exp.take))

@@ -26,7 +26,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 from .analysis import BOUNDS_CSV_HEADER
 from .errors import CapExceeded, EstimateOverflow, VerificationFailure
-from .estimators import ImportanceInduced, UniformHyperchild, ideal_cost_distribution, run_many
+from .estimators import ImportanceInduced, UniformHyperchild, run_many
 from .experiments import (
     SweepConfig,
     compare_importance,
@@ -223,7 +223,7 @@ def cmd_estimate(args) -> int:
     elif poset is not None:
         dist = ImportanceInduced(importance_function(tree, importance))
     elif importance == "ideal":
-        dist = ideal_cost_distribution(tree)
+        dist = ImportanceInduced(tree.subtree_cost)
     else:
         raise ValueError(
             f"importance {importance!r} needs a poset instance; "

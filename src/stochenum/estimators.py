@@ -35,7 +35,7 @@ from .sampling import (
     _draw_two_phase,
     derive_seed,
 )
-from .tree import TreeOracle, hypernode_successors, subtree_cost_function
+from .tree import TreeOracle, hypernode_successors
 
 
 class Draw(NamedTuple):
@@ -96,9 +96,10 @@ class ImportanceInduced(HypernodeDistribution):
 
     One node is picked with probability r(x)/r(S), the rest uniformly
     without replacement, giving P(w) = (r(w)/r(S)) / C(|S|-1, |w|-1).
-    The exact-probability path canonicalizes weight values through
-    float(); for integer and float weights (everything this package
-    ships) the sampled and analyzed functions are therefore identical.
+    The exact-probability path reads each weight (int, float or
+    Fraction) as the rational it denotes, so exact weights keep their
+    exact probabilities: ``ImportanceInduced(t.subtree_cost)`` is the
+    zero-variance draw on any oracle, whatever its costs.
     """
 
     def __init__(self, weight: WeightFunction):
@@ -123,7 +124,7 @@ class ImportanceInduced(HypernodeDistribution):
         # ratio of weight sums, so the probabilities are exact
         values = []
         for x in succ:
-            w = float(self.weight(x))
+            w = self.weight(x)
             if not w > 0:
                 raise NonpositiveWeight(x, w)
             values.append(w)
@@ -133,11 +134,6 @@ class ImportanceInduced(HypernodeDistribution):
         for idxs in itertools.combinations(range(len(succ)), take):
             nodes = tuple(sorted(succ[i] for i in idxs))
             yield nodes, Fraction(sum(weights[i] for i in idxs), denom)
-
-
-def ideal_cost_distribution(t: TreeOracle) -> ImportanceInduced:
-    """Weighted draw with exact subtree costs as weights (zero variance)."""
-    return ImportanceInduced(subtree_cost_function(t))
 
 
 @dataclass(frozen=True)

@@ -498,7 +498,7 @@ class _IdealWeight:
         self.tree = tree
 
     def __call__(self, node) -> float:
-        return float(self.tree.completions(node[1]))
+        return float(self.tree.subtree_cost(node))
 
     def child_values(self, mask, kids) -> list[float]:
         completions = self.tree.completions

@@ -30,8 +30,8 @@ from typing import Callable, Sequence
 RUN_GROUP = 64
 
 # A weight function maps node references to strictly positive numbers
-# (int, float or Fraction all work; analysis code reads float(value) as
-# the exact rational that float denotes).
+# (int, float or Fraction all work; analysis code reads each value as the
+# exact rational it denotes).
 WeightFunction = Callable
 
 

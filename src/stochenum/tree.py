@@ -17,6 +17,7 @@ references, and the exact analysis memoizes on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Hashable, Iterator, Sequence
 
 from .errors import CapExceeded
@@ -69,8 +70,34 @@ class TreeOracle:
     def cost(self, node) -> float:
         raise NotImplementedError
 
-    # Optional fast path; ``subtree_cost_function`` falls back to traversal.
-    subtree_cost: Callable | None = None
+    def subtree_cost(self, node) -> int | Fraction:
+        """Exact cost of the full subtree under ``node``, each float cost
+        read as the rational it denotes: an int when whole, else a
+        Fraction.
+
+        Memoized on the oracle, so every caller shares one entry per
+        node; an iterative post-order pass fills it, so deep trees cannot
+        blow the interpreter recursion limit.  Subclasses with an exact
+        counter of their own (decision trees) override it.  As a bound
+        method it pickles with the oracle and its memo, so it can serve
+        as a weight in worker processes.
+        """
+        memo = vars(self).setdefault("_subtree_costs", {})
+        v = memo.get(node)
+        if v is not None:
+            return v
+        stack = [(node, None)]
+        while stack:
+            cur, children = stack.pop()
+            if children is not None:
+                v = sum((memo[c] for c in children), Fraction(self.cost(cur)))
+                # whole costs as ints, which the walk's draw sums fast
+                memo[cur] = v.numerator if v.denominator == 1 else v
+            elif cur not in memo:
+                children = self.successors(cur)
+                stack.append((cur, children))
+                stack.extend((c, None) for c in children if c not in memo)
+        return memo[node]
 
 
 def hypernode_successors(h: Hypernode | Sequence, t: TreeOracle) -> tuple:
@@ -100,48 +127,6 @@ def exact_forest_cost(t: TreeOracle, max_nodes: int = DEFAULT_NODE_CAP) -> float
         total += t.cost(node)
         stack.extend(reversed(t.successors(node)))
     return total
-
-
-def subtree_cost_function(t: TreeOracle, conv: Callable = float) -> Callable:
-    """Exact cost of the full subtree under each node, memoized per node.
-
-    ``conv`` maps a cost into the numeric domain of the result (``float``,
-    or ``Fraction`` for exact analysis).  Uses the oracle's own
-    ``subtree_cost`` when it provides one (decision trees back it by
-    dynamic programming); otherwise computes costs by an iterative
-    post-order pass.  The result pickles, so it can serve as a weight in
-    worker processes.
-    """
-    return _SubtreeCost(t, conv)
-
-
-class _SubtreeCost:
-    def __init__(self, t: TreeOracle, conv: Callable):
-        self._t = t
-        self._conv = conv
-        self._memo: dict = {}
-
-    def __call__(self, node):
-        memo = self._memo
-        v = memo.get(node)
-        if v is not None:
-            return v
-        t, conv = self._t, self._conv
-        if t.subtree_cost is not None:
-            v = memo[node] = conv(t.subtree_cost(node))
-            return v
-        stack = [(node, False)]
-        while stack:
-            cur, expanded = stack.pop()
-            if cur in memo:
-                continue
-            children = t.successors(cur)
-            if expanded or not children:
-                memo[cur] = conv(t.cost(cur)) + sum(memo[c] for c in children)
-            else:
-                stack.append((cur, True))
-                stack.extend((c, False) for c in children if c not in memo)
-        return memo[node]
 
 
 class ExplicitTree(TreeOracle):

@@ -35,13 +35,7 @@ from .analysis import (
     recursive_variance,
 )
 from .errors import CapExceeded
-from .estimators import (
-    ImportanceInduced,
-    UniformHyperchild,
-    _run_block,
-    ideal_cost_distribution,
-    sep_estimate,
-)
+from .estimators import ImportanceInduced, UniformHyperchild, _run_block, sep_estimate
 from .posets import LEDecisionTree, Poset, count_linear_extensions, fixture_poset, importance_function, random_poset
 from .sampling import RandomSource, ScriptedChoice, derive_seed
 from .tree import (
@@ -51,11 +45,9 @@ from .tree import (
     fixture_example_importance,
     fixture_example_tree,
     hypernode_successors,
-    subtree_cost_function,
 )
 
 DEFAULT_SEED = 20240501
-POSET_IMPORTANCE = ("uniform", "f1", "f2", "f3")
 
 
 @dataclass
@@ -222,11 +214,6 @@ def check_cost_split_identity(trees, budgets, seed) -> CheckResult:
     return res
 
 
-def _exact_cost(t) -> Fraction:
-    subcost = subtree_cost_function(t, Fraction)
-    return sum((subcost(v) for v in t.root_hypernode), Fraction(0))
-
-
 class Cell:
     """One (instance, budget, draw) cell of the exact checks.
 
@@ -247,7 +234,7 @@ class Cell:
 
     @cached_property
     def cost(self) -> Fraction:
-        return _exact_cost(self.t)
+        return sum(map(self.t.subtree_cost, self.t.root_hypernode), Fraction(0))
 
     @cached_property
     def enumeration(self) -> tuple:
@@ -359,13 +346,13 @@ def run_checks(
             raise ValueError(f"{name} must be >= 1, got {value}")
     budgets = tuple(range(1, max_budget + 1))
     fixture = fixture_example_tree()
-    poset_instances = enumerable_posets(posets, seed, max_n, budgets, max_sequences)
+    poset_trees = [LEDecisionTree(p) for p in enumerable_posets(posets, seed, max_n, budgets, max_sequences)]
 
     trees = [("fixture-tree", fixture)]
     for i in range(3):
         trees.append((f"random-tree-{i}", random_tree(derive_seed(seed, i))))
-    for i, p in enumerate(poset_instances[: max(3, posets // 3)]):
-        trees.append((f"poset-{i}", LEDecisionTree(p)))
+    for i, tree in enumerate(poset_trees[: max(3, posets // 3)]):
+        trees.append((f"poset-{i}", tree))
 
     # one cell per (instance, budget, draw), handed to every check that reads it
     unbiased_cells: list[Cell] = []
@@ -375,16 +362,14 @@ def run_checks(
     instances = [("fixture-tree", fixture, [
         ("uniform", UniformHyperchild(), (unbiased_cells, weighted_cells)),
         ("leafcount", leafcount, (unbiased_cells, weighted_cells)),
-        ("ideal", ideal_cost_distribution(fixture), (unbiased_cells, ideal_cells)),
+        ("ideal", ImportanceInduced(fixture.subtree_cost), (unbiased_cells, ideal_cells)),
     ])]
-    for i, p in enumerate(poset_instances):
-        tree = LEDecisionTree(p)
-        label = f"poset-{i}(n={p.n})"
-        draws = [(kind, ImportanceInduced(importance_function(tree, kind)), (unbiased_cells, weighted_cells))
-                 for kind in POSET_IMPORTANCE]
-        draws.append(("uniform-dist", UniformHyperchild(), (unbiased_cells,)))
-        draws.append(("ideal", ideal_cost_distribution(tree), (ideal_cells,)))
-        instances.append((label, tree, draws))
+    for i, tree in enumerate(poset_trees):
+        draws = [("uniform", UniformHyperchild(), (unbiased_cells, weighted_cells))]
+        draws += [(kind, ImportanceInduced(importance_function(tree, kind)), (unbiased_cells, weighted_cells))
+                  for kind in ("f1", "f2", "f3")]
+        draws.append(("ideal", ImportanceInduced(importance_function(tree, "ideal")), (ideal_cells,)))
+        instances.append((f"poset-{i}(n={tree.n})", tree, draws))
     for label, t, draws in instances:
         for budget in budgets:
             for draw_label, dist, readers in draws:

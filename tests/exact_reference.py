@@ -6,10 +6,11 @@ maxima, each outcome's hypernode sequence in the same order, those alpha
 values again in the probability-ratio form that
 holds for any draw, and the variance and CV^2 hyperchild recursions.
 Every value is a ``Fraction`` and every step is the formula as written,
-with a memo keyed on the sorted member tuple.  Sums run over successor
-positions, so a child that two members share counts twice.  Slow, and
-only for tests, which require the package's results to equal these
-exactly.
+with a memo keyed on the sorted member tuple; subtree costs come from a
+plain recursion here, not from the oracle's memo.  Sums run over
+successor positions, so a child that two members share counts twice.
+Slow, and only for tests, which require the package's results to equal
+these exactly.
 """
 
 import itertools
@@ -17,16 +18,28 @@ from fractions import Fraction
 from math import comb
 
 from stochenum.sampling import NonpositiveWeight
-from stochenum.tree import hypernode_successors, subtree_cost_function
+from stochenum.tree import hypernode_successors
+
+
+def reference_subtree_cost(t):
+    """Exact subtree cost by plain recursion, memoized per call."""
+    memo = {}
+
+    def subcost(node):
+        if node not in memo:
+            memo[node] = Fraction(t.cost(node)) + sum(subcost(c) for c in t.successors(node))
+        return memo[node]
+
+    return subcost
 
 
 def _weights(weight, succ) -> dict:
     out = {}
     for x in succ:
-        w = float(weight(x))
+        w = Fraction(weight(x))
         if not w > 0:
             raise NonpositiveWeight(x, w)
-        out[x] = Fraction(w)
+        out[x] = w
     return out
 
 
@@ -36,7 +49,7 @@ def reference_enumeration(t, budget, dist, weight=None):
 
     A zero-cost successor forest under a weight raises ZeroDivisionError.
     """
-    subcost = subtree_cost_function(t, Fraction)
+    subcost = reference_subtree_cost(t)
     root = t.root_hypernode
     size0 = len(root)
     outcomes = []
@@ -98,7 +111,7 @@ def reference_alpha(t, budget, dist):
 
     A zero-cost successor forest raises ZeroDivisionError.
     """
-    subcost = subtree_cost_function(t, Fraction)
+    subcost = reference_subtree_cost(t)
     alphas = []
     level_max = []
 
@@ -141,7 +154,7 @@ def _candidates(succ, budget):
 
 def reference_variance(t, budget, weight) -> Fraction:
     """Var(v) = sum_w (r(S)/r(w)) (Var(w) + Cost(T_w)^2) / C(|S|-1, |w|-1) - Cost(T_S)^2."""
-    subcost = subtree_cost_function(t, Fraction)
+    subcost = reference_subtree_cost(t)
 
     def step(nodes, succ, w_of, var_of):
         if not succ:
@@ -160,7 +173,7 @@ def reference_variance(t, budget, weight) -> Fraction:
 def reference_cv2(t, budget, weight) -> Fraction:
     """The same recursion normalized by Cost(T_v) level by level; a
     zero-cost forest raises ValueError."""
-    subcost = subtree_cost_function(t, Fraction)
+    subcost = reference_subtree_cost(t)
 
     def step(nodes, succ, w_of, cv2_of):
         cost_v = sum(subcost(x) for x in nodes)

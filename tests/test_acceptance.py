@@ -34,7 +34,6 @@ from stochenum.analysis import cost_split_identity
 from stochenum.estimators import (
     ImportanceInduced,
     UniformHyperchild,
-    ideal_cost_distribution,
     run_many,
     sep_estimate,
 )
@@ -83,7 +82,7 @@ def small_cells():
     fixture_draws = (
         ("uniform", UniformHyperchild()),
         ("leafcount", ImportanceInduced(fixture_example_importance())),
-        ("ideal", ideal_cost_distribution(fixture)),
+        ("ideal", ImportanceInduced(fixture.subtree_cost)),
     )
     fixture_cells = [
         Cell("fixture", fixture, budget, label, dist, 20_000) for budget in (1, 2, 3) for label, dist in fixture_draws
@@ -182,7 +181,7 @@ def test_criterion_4_alpha_suite():
 def test_criterion_5_zero_variance():
     t0 = time.perf_counter()
     fixture = fixture_example_tree()
-    dist = ideal_cost_distribution(fixture)
+    dist = ImportanceInduced(fixture.subtree_cost)
     for i in range(1000):
         est = sep_estimate(fixture, 2, dist, RandomChoice(RandomSource(derive_seed(SEED, "zv", i)))).estimate
         assert abs(est - 14.0) <= 1e-9 * 14.0

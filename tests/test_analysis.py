@@ -12,6 +12,7 @@ from exact_reference import (
     reference_cv2,
     reference_enumeration,
     reference_sequences,
+    reference_subtree_cost,
     reference_variance,
 )
 from explicit_distribution import ExplicitDistribution
@@ -29,7 +30,7 @@ from stochenum.analysis import (
     recursive_variance,
 )
 from stochenum.errors import CapExceeded
-from stochenum.estimators import ImportanceInduced, UniformHyperchild, ideal_cost_distribution
+from stochenum.estimators import ImportanceInduced, UniformHyperchild
 from stochenum.posets import LEDecisionTree, count_linear_extensions, importance_function, random_poset
 from stochenum.sampling import NonpositiveWeight
 from stochenum.tree import (
@@ -39,7 +40,6 @@ from stochenum.tree import (
     fixture_example_importance,
     fixture_example_tree,
     hypernode_successors,
-    subtree_cost_function,
 )
 from stochenum.verify import DEFAULT_SEED, enumerable_posets, random_tree
 
@@ -105,13 +105,8 @@ def test_variance_zero_cases():
     assert recursive_variance(leaf, 2, ImportanceInduced(UNIFORM)) == 0
     assert recursive_cv2(leaf, 2, ImportanceInduced(UNIFORM)) == 0
     t = fixture_example_tree()
-    ideal = lambda node: float(_fixture_subtree(node))
-    assert recursive_variance(t, 2, ImportanceInduced(ideal)) == 0
-    assert recursive_cv2(t, 2, ImportanceInduced(ideal)) == 0
-
-
-def _fixture_subtree(node):
-    return subtree_cost_function(fixture_example_tree())(node)
+    assert recursive_variance(t, 2, ImportanceInduced(t.subtree_cost)) == 0
+    assert recursive_cv2(t, 2, ImportanceInduced(t.subtree_cost)) == 0
 
 
 def test_cv2_is_variance_over_squared_cost():
@@ -159,7 +154,7 @@ def test_alpha_base_cases():
     st = alpha_stats(leaf, 2, ImportanceInduced(UNIFORM))
     assert (st.mean, st.variance, st.max_value, st.level_max_product) == (1, 0, 1, 1)
     t = fixture_example_tree()
-    ideal = ImportanceInduced(lambda node: float(_fixture_subtree(node)))
+    ideal = ImportanceInduced(t.subtree_cost)
     alphas, _ = reference_alpha(t, 2, ideal)
     assert len(alphas) == 11 and all(a == 1 for a in alphas)
     assert alpha_stats(t, 2, ideal).max_value == 1
@@ -197,8 +192,7 @@ def test_alpha_stats_expectation_is_one():
 
 def test_alpha_stats_ideal_weight():
     t = fixture_example_tree()
-    ideal = lambda node: float(_fixture_subtree(node))
-    st = alpha_stats(t, 2, ImportanceInduced(ideal))
+    st = alpha_stats(t, 2, ImportanceInduced(t.subtree_cost))
     assert st.variance == 0
     assert st.max_value == 1
     assert st.level_max_product == 1
@@ -234,8 +228,8 @@ def reference_level_max_product(t, budget, weight):
     """The per-level alpha bound by a breadth-first pass over every
     reachable hypernode: each depth's largest single-step factor
     (r(S)/r(w)) * (c(w)/c(S)), multiplied over the depths."""
-    wvalue = lambda x: Fraction(float(weight(x)))
-    subcost = subtree_cost_function(t, Fraction)
+    wvalue = lambda x: Fraction(weight(x))
+    subcost = reference_subtree_cost(t)
     product = Fraction(1)
     level = {t.root_hypernode.nodes}
     while level:
@@ -307,7 +301,7 @@ def test_unbiasedness_on_random_explicit_trees():
     # narrow random trees keep the outcome space enumerable
     for i in range(6):
         t = random_tree(i, max_depth=3, max_children=3)
-        cost = sum((subtree_cost_function(t, Fraction)(v) for v in t.root_hypernode), Fraction(0))
+        cost = sum(map(t.subtree_cost, t.root_hypernode))
         for budget in (1, 2, 3):
             od = enumerate_distribution(t, budget, UniformHyperchild(), max_sequences=300_000)
             assert od.mean == cost
@@ -329,7 +323,7 @@ def test_unbiasedness_and_variance_on_small_posets():
 def test_ideal_distribution_enumerates_to_zero_variance():
     p = random_poset(6, 0.3, 3)
     tree = LEDecisionTree(p)
-    od = enumerate_distribution(tree, 2, ideal_cost_distribution(tree), max_sequences=300_000)
+    od = enumerate_distribution(tree, 2, ImportanceInduced(importance_function(tree, "ideal")), max_sequences=300_000)
     assert od.mean == count_linear_extensions(p)
     assert od.variance == 0
 

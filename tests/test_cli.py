@@ -199,6 +199,18 @@ def test_estimate_ideal_importance_zero_variance(capsys):
     assert float(row["rel_variance"]) <= 1e-12
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_estimate_ideal_bytes_are_pinned(capsys, threads):
+    # The exact-cost weight is the oracle's bound subtree_cost, which
+    # pickles into the workers together with its memo.
+    code, out, err = run_cli(capsys, "--seed", "0", "--threads", threads, "estimate", "--fixture", "example",
+                             "--importance", "ideal", "--budget", "2", "--runs", "300")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == (
+        "example,2,ideal,300,14.0,5.69879449925547e-31,2.907548213905852e-33,4.358437984437188e-17,14"
+    )
+
+
 def test_estimate_labeled_fixture(capsys):
     code, out, _ = run_cli(
         capsys, "estimate", "--fixture", "example-importance", "--budget", "2", "--runs", "400",

@@ -18,7 +18,6 @@ from stochenum.estimators import (
     UniformHyperchild,
     _run_block,
     _walk,
-    ideal_cost_distribution,
     run_many,
     sep_estimate,
     summarize,
@@ -216,9 +215,9 @@ def test_estimate_overflow_reported():
         sep_estimate(t, 1, dist, RandomChoice(0))
 
 
-def test_ideal_cost_distribution_zero_variance_on_fixture():
+def test_subtree_cost_weight_zero_variance_on_fixture():
     t = fixture_example_tree()
-    dist = ideal_cost_distribution(t)
+    dist = ImportanceInduced(t.subtree_cost)
     for seed in range(200):
         traj = sep_estimate(t, 2, dist, RandomChoice(seed))
         assert traj.estimate == pytest.approx(14.0, rel=1e-12)
@@ -408,7 +407,7 @@ def test_run_many_mean_near_truth():
 
 def test_run_many_ideal_variance_zero():
     t = fixture_example_tree()
-    s = run_many(t, 2, ideal_cost_distribution(t), 200, 3)
+    s = run_many(t, 2, ImportanceInduced(t.subtree_cost), 200, 3)
     assert s.rel_variance <= 1e-12
 
 

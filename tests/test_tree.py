@@ -1,14 +1,15 @@
 """Forest oracle basics: hypernodes, costs, traversal, candidate sets."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from explicit_distribution import RecordingDistribution
 
-from stochenum.analysis import cost_split_identity
+from stochenum.analysis import alpha_stats, cost_split_identity, recursive_cv2, recursive_variance
 from stochenum.errors import CapExceeded
-from stochenum.estimators import UniformHyperchild, sep_estimate
+from stochenum.estimators import ImportanceInduced, UniformHyperchild, sep_estimate
 from stochenum.sampling import ScriptedChoice
 from stochenum.tree import (
     EXAMPLE_IMPORTANCE_LABELS,
@@ -19,7 +20,6 @@ from stochenum.tree import (
     fixture_example_importance,
     fixture_example_tree,
     hypernode_successors,
-    subtree_cost_function,
 )
 from stochenum.verify import random_tree
 
@@ -173,20 +173,48 @@ def test_explicit_tree_rejects_shared_children():
         ExplicitTree({"a": ("c",), "b": ("c",)}, roots=("a", "b"))
 
 
-def test_subtree_cost_function_matches_manual():
+def test_subtree_cost_matches_manual():
     t = fixture_example_tree()
-    sub = subtree_cost_function(t)
-    assert sub("a") == 14.0
-    assert sub("c") == 8.0
-    assert sub("h") == 1.0
-    assert sub("e") == 4.0
-    exact = subtree_cost_function(t, Fraction)
-    assert exact("a") == 14 and isinstance(exact("a"), Fraction)
-    # The oracle's own subtree_cost is memoized per node in the same domain.
-    calls = []
-    t.subtree_cost = lambda node: calls.append(node) or sub(node)
-    fast = subtree_cost_function(t, Fraction)
-    assert fast("c") == fast("c") == Fraction(8) and calls == ["c"]
+    assert t.subtree_cost("a") == 14
+    assert t.subtree_cost("c") == 8
+    assert t.subtree_cost("h") == 1
+    assert t.subtree_cost("e") == 4
+    assert type(t.subtree_cost("a")) is int
+    # exact where the float sum rounds
+    t = ExplicitTree({"r": ("a",)}, roots=("r",), costs={"r": 0.1, "a": 0.2})
+    assert t.subtree_cost("r") == Fraction(0.1) + Fraction(0.2) != 0.1 + 0.2
+    assert type(t.subtree_cost("r")) is Fraction
+
+
+class _CountingTree(ExplicitTree):
+    """The example tree, counting ``successors`` calls per node."""
+
+    def __init__(self):
+        fixture = fixture_example_tree()
+        super().__init__({v: fixture.successors(v) for v in "abcdefghijklmn"}, roots=("a",))
+        self.calls = Counter()
+
+    def successors(self, node):
+        self.calls[node] += 1
+        return super().successors(node)
+
+
+def test_analyses_share_one_subtree_cost_pass():
+    # The variance, CV^2 and alpha recursions on one oracle read its one
+    # memo: against an oracle whose memo is already full, they expand each
+    # node exactly once more, in the single post-order pass.
+    def analyses(t):
+        dist = ImportanceInduced(fixture_example_importance())
+        recursive_variance(t, 2, dist)
+        recursive_cv2(t, 2, dist)
+        alpha_stats(t, 2, dist)
+
+    cold, warm = _CountingTree(), _CountingTree()
+    warm.subtree_cost("a")
+    warm.calls.clear()
+    analyses(cold)
+    analyses(warm)
+    assert cold.calls == warm.calls + Counter("abcdefghijklmn")
 
 
 def test_fixture_importance_labels_are_leaf_counts():

@@ -6,22 +6,23 @@ from collections import Counter
 
 import pytest
 
-from stochenum import verify
+from stochenum import posets, verify
 from stochenum.analysis import cost_split_identity
 from stochenum.cli import main
-from stochenum.estimators import ImportanceInduced, UniformHyperchild, ideal_cost_distribution
+from stochenum.estimators import ImportanceInduced, UniformHyperchild
 from stochenum.posets import LEDecisionTree, Poset
 from stochenum.sampling import RandomSource, derive_seed
-from stochenum.tree import ExplicitTree, fixture_example_importance, fixture_example_tree
+from stochenum.tree import ExplicitTree, TreeOracle, fixture_example_importance, fixture_example_tree
 
 # stdout and the --out CSV of `--seed 7 verify --max-n 5 --posets 16
 # --max-sequences 200`.  The cost-splitting line counts distinct sampled
-# hypernodes, so it follows the node representation; the CSV has kept its
-# bytes since before the per-cell sharing.
+# hypernodes, so it follows the node representation; the unbiasedness line
+# counts cells, one uniform cell per poset and budget; the CSV has kept
+# its bytes since before the per-cell sharing.
 GOLDEN_STDOUT = """\
 PASS  golden fixtures (5 instances)
 PASS  cost-splitting identity (371 instances)
-PASS  unbiasedness of enumerated expectation (249 instances)
+PASS  unbiasedness of enumerated expectation (201 instances)
 PASS  recursive variance and CV agreement (198 instances)
 PASS  alpha diagnostics and bounds (198 instances)
 PASS  zero variance under exact-cost weights (51 instances)
@@ -65,12 +66,49 @@ def test_run_checks_analyzes_each_weighted_cell_once(monkeypatch):
     assert len(calls["variance"]) == len(calls["cv2"]) == len(calls["alpha"]) == weighted
     assert set(calls["alpha"]) == set(calls["variance"]) == set(calls["cv2"])
     # one enumeration per cell: the weighted cells, the fixture's ideal
-    # draw, the posets' uniform draws, and the posets' ideal draws, which
-    # only the zero-variance check reads (it shares the fixture's)
-    cells = weighted + budgets * (1 + posets)
-    assert len(calls["enumerate"]) == cells + budgets * posets
+    # draw, and the posets' ideal draws, which only the zero-variance check
+    # reads (it shares the fixture's)
+    assert len(calls["enumerate"]) == weighted + budgets * (1 + posets)
     for name in calls:
         assert set(calls[name].values()) == {1}, name
+
+
+def test_run_checks_computes_each_subtree_cost_once(monkeypatch):
+    # Each oracle keeps one subtree-cost memo that every cell and check
+    # reads: an explicit tree's post-order pass reads a node's cost once,
+    # and a decision tree's counter fills each remaining set once per
+    # poset (the cost-splitting check and the cells share one tree).
+    computed = Counter()
+    oracles = {}  # keeps each oracle alive, so no two share an id
+    inside = [0]
+    subtree_cost, cost, completions = TreeOracle.subtree_cost, ExplicitTree.cost, posets._completions
+
+    def counted_subtree_cost(self, node):
+        inside[0] += 1
+        try:
+            return subtree_cost(self, node)
+        finally:
+            inside[0] -= 1
+
+    def counted_cost(self, node):
+        if inside[0]:
+            oracles[id(self)] = self
+            computed[id(self), node] += 1
+        return cost(self, node)
+
+    def counted_completions(above, memo, remaining):
+        if remaining not in memo:
+            computed[above, remaining] += 1
+        return completions(above, memo, remaining)
+
+    monkeypatch.setattr(TreeOracle, "subtree_cost", counted_subtree_cost)
+    monkeypatch.setattr(ExplicitTree, "cost", counted_cost)
+    monkeypatch.setattr(posets, "_completions", counted_completions)
+    results = verify.run_checks(max_n=4, max_budget=2, posets=4, seed=3, max_sequences=2000)
+    assert all(r.passed for r in results)
+    # the fixture and the random trees, and the posets' decision trees
+    assert len(oracles) == 4 and any(isinstance(key[0], tuple) for key in computed)
+    assert set(computed.values()) == {1}
 
 
 def test_max_sequences_caps_every_enumeration(monkeypatch):
@@ -91,7 +129,7 @@ def test_zero_variance_reads_cells():
     # the fixture's ideal draw at each budget: an exact variance of 0, and
     # the exact cost on every sampled run
     t = fixture_example_tree()
-    dist = ideal_cost_distribution(t)
+    dist = ImportanceInduced(t.subtree_cost)
     cells = [verify.Cell("fixture", t, budget, "ideal", dist, 1000) for budget in (1, 2, 3)]
     res = verify.check_zero_variance(cells, runs=100, seed=5)
     assert res.passed and res.instances == 3
@@ -99,6 +137,20 @@ def test_zero_variance_reads_cells():
     cells = [verify.Cell("fixture", t, 2, "uniform", UniformHyperchild(), 1000)]
     res = verify.check_zero_variance(cells, runs=100, seed=5)
     assert not res.passed and "enumerated variance" in res.failures[0]
+
+
+def test_zero_variance_holds_on_non_dyadic_costs():
+    # Tenths have no exact float sums: exact subtree costs, read exactly by
+    # the weighted draw's support, still give an enumerated variance of 0.
+    t = ExplicitTree(
+        {"r": ("a", "b", "c"), "a": ("d", "e"), "b": ("f",), "c": ("g", "h")},
+        roots=("r",),
+        costs={"r": .1, "a": .2, "b": .3, "c": .7, "d": .1, "e": .2, "f": .3, "g": .1, "h": .6},
+    )
+    dist = ImportanceInduced(t.subtree_cost)
+    cells = [verify.Cell("tenths", t, budget, "ideal", dist, 1000) for budget in (1, 2, 3)]
+    res = verify.check_zero_variance(cells, runs=100, seed=5)
+    assert res.passed and res.instances == 3
 
 
 def test_unbiasedness_passes_on_a_zero_cost_successor_forest():
