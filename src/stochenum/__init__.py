@@ -10,7 +10,6 @@ application counts linear extensions of partially ordered sets.
 
 from .analysis import (
     AlphaStats,
-    Outcome,
     OutcomeDistribution,
     alpha_stats,
     cost_split_identity,
@@ -62,7 +61,6 @@ from .sampling import (
 )
 from .tree import (
     ExplicitTree,
-    Hypernode,
     TreeOracle,
     exact_forest_cost,
     fixture_example_importance,

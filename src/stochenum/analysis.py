@@ -24,7 +24,7 @@ raise CapExceeded rather than truncating.
 
 The recursions (sequence count, variance, CV^2, alpha) memoize per
 hypernode, so alpha reaches instances far past any enumeration.  A
-hypernode is the sorted multiset of its members, and node references
+hypernode is the sorted tuple of its members, and node references
 are states (see ``tree``), so hypernodes reached by different paths
 share one memo entry.
 """
@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 from .errors import CapExceeded
 from .estimators import HypernodeDistribution, integer_scale
-from .tree import Hypernode, TreeOracle, hypernode_successors
+from .tree import TreeOracle, hypernode_successors
 
 DEFAULT_SEQUENCE_CAP = 1_000_000
 DEFAULT_STATE_CAP = 1_000_000
@@ -120,24 +120,17 @@ def _moments(pairs) -> tuple[Fraction, Fraction, Fraction]:
 
 
 @dataclass(frozen=True)
-class Outcome:
-    """One complete hypernode sequence's probability and estimate."""
-
-    probability: object
-    estimate: object
-
-
-@dataclass(frozen=True)
 class OutcomeDistribution:
-    """Every outcome of a walk, with exact moments of the estimate."""
+    """Every outcome of a walk, with exact moments of the estimate.
 
-    outcomes: tuple[Outcome, ...]
+    ``outcomes`` holds one (probability, estimate) pair of Fractions per
+    complete hypernode sequence, in depth-first order.
+    """
+
+    outcomes: tuple[tuple[Fraction, Fraction], ...]
     mean: object
     variance: object
     total_probability: object
-
-    def __len__(self) -> int:
-        return len(self.outcomes)
 
 
 def count_sequences(
@@ -223,7 +216,7 @@ def enumerate_distribution(
             count += 1
             if count > max_sequences:
                 raise CapExceeded(f"more than {max_sequences} hypernode sequences")
-            outcomes.append(Outcome(Fraction(pn, pd), Fraction(size0 * tn, dd * tq)))
+            outcomes.append((Fraction(pn, pd), Fraction(size0 * tn, dd * tq)))
             return
         for wnodes, p_num, p_den, m_den, f, k_sel, k_m in cands:
             # d_k = m / (|v| * C(|S|-1, m-1) * p)
@@ -234,13 +227,13 @@ def enumerate_distribution(
                 tn2, tq2 = tn * f, tq
             rec(wnodes, pn * p_num, pd * p_den, dn2, dd * f, tn2, tq2)
 
-    costs, k_den = integer_scale([t.cost(v) for v in root.nodes])
+    costs, k_den = integer_scale([t.cost(v) for v in root])
     try:
-        rec(root.nodes, 1, 1, 1, 1, sum(costs), k_den * size0)
+        rec(root, 1, 1, 1, 1, sum(costs), k_den * size0)
     finally:
         del rec  # rec refers to itself: break that cycle so the tree and memos free now
 
-    total_p, mean, variance = _moments((o.probability, o.estimate) for o in outcomes)
+    total_p, mean, variance = _moments(outcomes)
     return OutcomeDistribution(tuple(outcomes), mean, variance, total_p)
 
 
@@ -279,7 +272,7 @@ def _hypernode_recursion(t, budget, max_states, step, costs=False):
         return memo[nodes]
 
     try:
-        return value_of(t.root_hypernode.nodes)
+        return value_of(t.root_hypernode)
     finally:
         del value_of  # value_of refers to itself: break that cycle so the memo frees now
 
@@ -416,17 +409,18 @@ def alpha_stats(
     return AlphaStats(mean, Fraction(*a2) - mean * mean, Fraction(*top), product)
 
 
-def cost_split_identity(t: TreeOracle, h: Hypernode, budget: int):
+def cost_split_identity(t: TreeOracle, h: tuple, budget: int):
     """Both sides of the hyperchild cost-splitting identity, exactly.
 
-    The cost of the successor forest of ``h`` must equal the sum over
-    candidate hypernodes w of Cost(T_w) / C(|S|-1, |w|-1); every candidate
-    contains each successor equally often, so the weights cancel.  Returns
-    (lhs, rhs) as exact rationals for the caller to compare.
+    The cost of the successor forest of the hypernode ``h`` (its sorted
+    member tuple) must equal the sum over candidate hypernodes w of
+    Cost(T_w) / C(|S|-1, |w|-1); every candidate contains each successor
+    equally often, so the weights cancel.  Returns (lhs, rhs) as exact
+    rationals for the caller to compare.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    exp = _expand(t, h.nodes, budget, costs=True)
+    exp = _expand(t, h, budget, costs=True)
     if exp is None:
         return Fraction(0), Fraction(0)
     rhs = sum(sum(exp.c_of[x] for x in sub) for sub in itertools.combinations(exp.succ, exp.take))

@@ -163,7 +163,7 @@ def _walk(
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     cost = t.cost
-    nodes = t.root_hypernode.nodes
+    nodes = t.root_hypernode
     size0 = len(nodes)
     csum = 0.0
     for v in nodes:

@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .estimators import ImportanceInduced, _run_block, summarize
-from .errors import VerificationFailure
+from .errors import CapExceeded, VerificationFailure
 from .posets import MAX_DP_ELEMENTS, LEDecisionTree, count_linear_extensions, importance_function, random_poset
 from .sampling import derive_seed
 
@@ -43,7 +43,9 @@ class SweepConfig:
     budget, size fixed).  Replicate counts default to max(64,
     round((n/scale)^2)) per point, which at the default scale 1 is
     already n^2 from n = 8 up; ``full_protocol`` gives exactly n^2,
-    ignoring ``scale`` and the floor of 64.
+    ignoring ``scale`` and the floor of 64.  ``exact_reference`` needs
+    the exact count at every point, so a size past ``MAX_DP_ELEMENTS``
+    raises CapExceeded here, before any work.
     """
 
     kind: str
@@ -80,11 +82,16 @@ class SweepConfig:
             raise ValueError("scale must be positive")
         if self.posets_per_point is not None and self.posets_per_point < 1:
             raise ValueError("replicate counts must be >= 1")
-        for n in self.swept if self.kind == "n" else (self.fixed_n,):
+        sizes = self.swept if self.kind == "n" else (self.fixed_n,)
+        for n in sizes:
             if (count := self.estimates_at(n)) < 2:  # one estimate has no sample variance
                 raise ValueError(f"estimates per poset must be >= 2, got {count}")
         if not self.importance:
             raise ValueError("at least one importance kind is required")
+        if self.exact_reference and max(sizes) > MAX_DP_ELEMENTS:
+            raise CapExceeded(
+                f"exact reference needs the exact count at n={max(sizes)}; cap is n <= {MAX_DP_ELEMENTS}"
+            )
 
     def point(self, value: int) -> tuple[int, int]:
         """(n, budget) at one swept value."""
@@ -173,7 +180,7 @@ def _poset_task(args) -> tuple[int, int, dict]:
         estimates = _run_block(tree, budget, dist, run_seed, 0, estimates_n)
         summary = summarize(estimates)
         ratio = summary.mean / exact if cfg.verify_small and exact is not None else None
-        if cfg.exact_reference and exact is not None:
+        if cfg.exact_reference:
             rel = summary.variance / (exact * exact)
         else:
             rel = summary.rel_variance

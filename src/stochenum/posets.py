@@ -19,7 +19,7 @@ from typing import Callable, Iterable
 
 from .errors import CapExceeded, EstimateOverflow
 from .sampling import RUN_GROUP, RandomSource, derive_seed
-from .tree import Hypernode, TreeOracle
+from .tree import TreeOracle
 
 MAX_DP_ELEMENTS = 24  # the deleted-set table is exponential in n
 EXPANSION_CAP = 8192  # masks in the mask walk's expansion cache, cleared when full
@@ -71,8 +71,6 @@ class Poset:
             row = self.gt[i]
             for j in range(n):
                 if row >> j & 1:
-                    if self.gt[j] >> i & 1:
-                        raise ValueError(f"antisymmetry violated between {i} and {j}")
                     above[j] |= 1 << i
         self.above = tuple(above)
 
@@ -236,8 +234,8 @@ class LEDecisionTree(TreeOracle):
         return tuple(chunks)
 
     @property
-    def root_hypernode(self) -> Hypernode:
-        return Hypernode((((), 0),))
+    def root_hypernode(self) -> tuple:
+        return (((), 0),)
 
     def maximal_after(self, deleted: int) -> tuple[int, ...]:
         """Maximal elements of the remaining poset, ascending (memoized)."""

@@ -10,45 +10,21 @@ totally ordered within one oracle.  A reference is a node's state, not
 its path: two nodes reached by different paths may share one reference,
 and equal references must have equal costs, equal subtrees (successor
 references, in order) and equal weights under every weight function
-used with the oracle.  A hypernode is therefore a sorted multiset of
-references, and the exact analysis memoizes on it.
+used with the oracle.  A hypernode is therefore a multiset of
+references, held as their sorted tuple, and the exact analysis memoizes
+on that tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Iterator, Sequence
+from typing import Callable, Hashable, Sequence
 
 from .errors import CapExceeded
 
 NodeRef = Hashable
 
 DEFAULT_NODE_CAP = 10_000_000
-
-
-@dataclass(frozen=True)
-class Hypernode:
-    """A multiset of same-level nodes, stored in canonical sorted order.
-
-    Canonical ordering makes structural equality coincide with multiset
-    equality, so hypernodes can be dict keys and compared across
-    independently produced traversals.
-    """
-
-    nodes: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(sorted(self.nodes)))
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def __iter__(self) -> Iterator:
-        return iter(self.nodes)
-
-    def __repr__(self) -> str:
-        return f"Hypernode({list(self.nodes)!r})"
 
 
 class TreeOracle:
@@ -60,7 +36,8 @@ class TreeOracle:
     """
 
     @property
-    def root_hypernode(self) -> Hypernode:
+    def root_hypernode(self) -> tuple:
+        """The root references as one hypernode: a sorted tuple."""
         raise NotImplementedError
 
     def successors(self, node) -> Sequence:
@@ -100,9 +77,9 @@ class TreeOracle:
         return memo[node]
 
 
-def hypernode_successors(h: Hypernode | Sequence, t: TreeOracle) -> tuple:
-    """Successor multiset of a hypernode (or its member tuple), member
-    order then child order; a child two members share appears twice."""
+def hypernode_successors(h: Sequence, t: TreeOracle) -> tuple:
+    """Successor multiset of a hypernode's members, member order then
+    child order; a child two members share appears twice."""
     out = []
     for v in h:
         out += t.successors(v)
@@ -118,7 +95,7 @@ def exact_forest_cost(t: TreeOracle, max_nodes: int = DEFAULT_NODE_CAP) -> float
     """
     total = 0.0
     seen = 0
-    stack = list(reversed(t.root_hypernode.nodes))
+    stack = list(reversed(t.root_hypernode))
     while stack:
         node = stack.pop()
         seen += 1
@@ -142,7 +119,7 @@ class ExplicitTree(TreeOracle):
         costs: dict | None = None,
     ):
         self._children = {k: tuple(v) for k, v in children.items()}
-        self._roots = tuple(roots)
+        self._roots = tuple(sorted(roots))
         self._costs = dict(costs) if costs else {}
         seen = set()
         frontier = list(self._roots)
@@ -154,8 +131,8 @@ class ExplicitTree(TreeOracle):
             frontier.extend(self._children.get(node, ()))
 
     @property
-    def root_hypernode(self) -> Hypernode:
-        return Hypernode(self._roots)
+    def root_hypernode(self) -> tuple:
+        return self._roots
 
     def successors(self, node) -> tuple:
         return self._children.get(node, ())

@@ -40,7 +40,6 @@ from .posets import LEDecisionTree, Poset, count_linear_extensions, fixture_pose
 from .sampling import RandomSource, ScriptedChoice, derive_seed
 from .tree import (
     ExplicitTree,
-    Hypernode,
     exact_forest_cost,
     fixture_example_importance,
     fixture_example_tree,
@@ -179,7 +178,8 @@ def check_fixture_golden() -> CheckResult:
 
 
 def _identity_hypernodes(t, budget, rng, per_level=3):
-    """Root plus a few random reachable hypernodes per level."""
+    """Root plus a few random reachable hypernodes per level, each its
+    sorted member tuple."""
     out = [t.root_hypernode]
     level = [t.root_hypernode]
     while level:
@@ -193,7 +193,7 @@ def _identity_hypernodes(t, budget, rng, per_level=3):
                 # distinct positions, so a child two members share can
                 # be picked twice
                 picked = {rng.randrange(len(succ)) for _ in range(take)}
-                nxt.append(Hypernode(tuple(succ[i] for i in picked)))
+                nxt.append(tuple(sorted(succ[i] for i in picked)))
         level = list(dict.fromkeys(nxt))
         out.extend(level)
     return out

@@ -78,8 +78,8 @@ def reference_enumeration(t, budget, dist, weight=None):
                     level_max[depth] = max(level_max[depth], factor)
             rec(wnodes, depth + 1, prob * p, d_product2, total + lvl * d_product2, alpha * factor)
 
-    lvl0 = sum(Fraction(t.cost(v)) for v in root.nodes) / size0
-    rec(root.nodes, 0, Fraction(1), Fraction(1), lvl0, Fraction(1))
+    lvl0 = sum(Fraction(t.cost(v)) for v in root) / size0
+    rec(root, 0, Fraction(1), Fraction(1), lvl0, Fraction(1))
     total_p = sum(p for p, _, _ in outcomes)
     mean = sum(p * e for p, e, _ in outcomes)
     variance = sum(p * (e - mean) ** 2 for p, e, _ in outcomes)
@@ -99,7 +99,7 @@ def reference_sequences(t, budget, dist):
         for wnodes, _ in dist.support(succ, budget):
             rec(seq + (wnodes,))
 
-    rec((t.root_hypernode.nodes,))
+    rec((t.root_hypernode,))
     return sequences
 
 
@@ -130,7 +130,7 @@ def reference_alpha(t, budget, dist):
                 level_max[depth] = max(level_max[depth], factor)
             rec(wnodes, depth + 1, alpha * factor)
 
-    rec(t.root_hypernode.nodes, 0, Fraction(1))
+    rec(t.root_hypernode, 0, Fraction(1))
     return alphas, level_max
 
 
@@ -144,7 +144,7 @@ def _recursion(t, budget, weight, step):
             memo[nodes] = step(nodes, succ, w_of, value_of)
         return memo[nodes]
 
-    return value_of(t.root_hypernode.nodes)
+    return value_of(t.root_hypernode)
 
 
 def _candidates(succ, budget):

@@ -41,7 +41,6 @@ from stochenum.experiments import SweepConfig, rows_to_csv, run_sweep
 from stochenum.posets import LEDecisionTree, count_linear_extensions, importance_function, random_poset
 from stochenum.sampling import RandomChoice, RandomSource, derive_seed
 from stochenum.tree import (
-    Hypernode,
     fixture_example_importance,
     fixture_example_tree,
     hypernode_successors,
@@ -144,7 +143,7 @@ def _reachable_hypernodes(tree, budget, cap=4000):
                 continue
             take = min(budget, len(succ))
             for sub in itertools.combinations(succ, take):
-                nxt.add(Hypernode(sub))
+                nxt.add(tuple(sorted(sub)))
         level = nxt
     return seen[:cap]
 

@@ -35,7 +35,6 @@ from stochenum.posets import LEDecisionTree, count_linear_extensions, importance
 from stochenum.sampling import NonpositiveWeight
 from stochenum.tree import (
     ExplicitTree,
-    Hypernode,
     exact_forest_cost,
     fixture_example_importance,
     fixture_example_tree,
@@ -49,7 +48,7 @@ UNIFORM = lambda node: 1.0
 def test_enumeration_uniform_budget2_fixture():
     t = fixture_example_tree()
     od = enumerate_distribution(t, 2, UniformHyperchild())
-    assert len(od) == 11
+    assert len(od.outcomes) == 11
     assert od.total_probability == 1
     assert od.mean == 14
     # the worked uniform trajectory: {a},{b,c},{d,e},{h,i},{m} has
@@ -57,19 +56,15 @@ def test_enumeration_uniform_budget2_fixture():
     # sequences in the enumeration's depth-first order
     target = (("a",), ("b", "c"), ("d", "e"), ("h", "i"), ("m",))
     sequences = reference_sequences(t, 2, UniformHyperchild())
-    assert len(sequences) == len(od)
+    assert len(sequences) == len(od.outcomes)
     hits = [o for o, seq in zip(od.outcomes, sequences) if seq == target]
-    assert len(hits) == 1
-    assert hits[0].probability == Fraction(1, 9)
-    assert hits[0].estimate == Fraction(51, 4)
+    assert hits == [(Fraction(1, 9), Fraction(51, 4))]
 
 
 def test_enumeration_budget_exceeding_width():
     t = fixture_example_tree()
     od = enumerate_distribution(t, 14, UniformHyperchild())
-    assert len(od) == 1
-    assert od.outcomes[0].probability == 1
-    assert od.outcomes[0].estimate == 14
+    assert od.outcomes == ((1, 14),)
     assert od.variance == 0
 
 
@@ -170,7 +165,7 @@ def test_alpha_on_worked_weighted_trajectory():
     od = enumerate_distribution(t, 2, ImportanceInduced(w))
     alphas, _ = reference_alpha(t, 2, ImportanceInduced(w))
     sequences = reference_sequences(t, 2, ImportanceInduced(w))
-    assert len(alphas) == len(sequences) == len(od)
+    assert len(alphas) == len(sequences) == len(od.outcomes)
     assert [a for s, a in zip(sequences, alphas) if s == seq] == [Fraction(10, 11)]
 
 
@@ -231,7 +226,7 @@ def reference_level_max_product(t, budget, weight):
     wvalue = lambda x: Fraction(weight(x))
     subcost = reference_subtree_cost(t)
     product = Fraction(1)
-    level = {t.root_hypernode.nodes}
+    level = {t.root_hypernode}
     while level:
         nxt = set()
         level_max = None
@@ -332,7 +327,7 @@ def test_cost_split_identity_with_thirds():
     # a four-child node makes the divisor 3, exercising non-dyadic rationals
     t = ExplicitTree({"r": ("a", "b", "c", "d")}, roots=("r",),
                      costs={"r": 1.0, "a": 1.0, "b": 2.0, "c": 0.5, "d": 3.0})
-    lhs, rhs = cost_split_identity(t, Hypernode(("r",)), 2)
+    lhs, rhs = cost_split_identity(t, ("r",), 2)
     assert lhs == rhs == Fraction(13, 2)
 
 
@@ -346,7 +341,8 @@ def test_state_memo_equals_member_memo():
         tree = LEDecisionTree(poset)
         cost = count_linear_extensions(poset)
         sequences = reference_sequences(tree, 2, UniformHyperchild())
-        assert count_sequences(tree, 2) == len(enumerate_distribution(tree, 2, UniformHyperchild())) == len(sequences)
+        od = enumerate_distribution(tree, 2, UniformHyperchild())
+        assert count_sequences(tree, 2) == len(od.outcomes) == len(sequences)
         shared += any(len(set(h)) < len(h) for seq in sequences for h in seq)
         for kind in ("uniform", "f1", "f2", "f3", "ideal"):
             weight = importance_function(tree, kind)
@@ -368,7 +364,7 @@ def test_count_sequences_matches_enumeration_on_posets():
                 count = count_sequences(tree, budget, max_sequences=5000)
             except CapExceeded:
                 continue
-            assert len(enumerate_distribution(tree, budget, UniformHyperchild())) == count
+            assert len(enumerate_distribution(tree, budget, UniformHyperchild()).outcomes) == count
             with pytest.raises(CapExceeded, match=f"more than {count - 1} hypernode"):
                 count_sequences(tree, budget, max_sequences=count - 1)
             checked += 1
@@ -423,9 +419,9 @@ def _assert_enumeration_matches_reference(t, budget, dist):
     ``_assert_alpha_matches_reference``)."""
     outcomes, mean, variance, total_p, _ = reference_enumeration(t, budget, dist)
     od = enumerate_distribution(t, budget, dist)
-    assert [(o.probability, o.estimate) for o in od.outcomes] == [(p, e) for p, e, _ in outcomes]
+    assert list(od.outcomes) == [(p, e) for p, e, _ in outcomes]
     assert (od.mean, od.variance, od.total_probability) == (mean, variance, total_p)
-    assert all(type(x) is Fraction for o in od.outcomes for x in (o.probability, o.estimate))
+    assert all(type(x) is Fraction for o in od.outcomes for x in o)
     _assert_alpha_matches_reference(t, budget, dist, [p for p, _, _ in outcomes])
 
 
@@ -523,7 +519,7 @@ def test_exact_analysis_matches_fraction_reference_on_thirds():
     })
     od = enumerate_distribution(t, 1, dist)
     assert od.total_probability == 1 and od.mean == 14
-    assert {o.probability.denominator for o in od.outcomes} == {9, 27}
+    assert {p.denominator for p, _ in od.outcomes} == {9, 27}
     _assert_enumeration_matches_reference(t, 1, dist)
 
 

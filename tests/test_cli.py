@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+from fractions import Fraction
 
 import pytest
 from explicit_distribution import ExplicitDistribution
@@ -449,6 +450,50 @@ def test_other_commands_default_to_seed_zero(tmp_path, capsys):
     zero = run_cli(capsys, "--seed", "0", "gen-poset", "--n", "12", "--out", str(tmp_path / "b.poset"))
     assert default[1].replace("a.poset", "b.poset") == zero[1]
     assert (tmp_path / "a.poset").read_bytes() == (tmp_path / "b.poset").read_bytes()
+
+
+def test_verify_failure_exit_code(monkeypatch, tmp_path, capsys):
+    # two checks fail: one FAIL line each, the bounds CSV is still written,
+    # and stderr counts the failures and gives each first counterexample
+    monkeypatch.setattr(verify, "count_linear_extensions", lambda poset: 8)
+    monkeypatch.setattr(verify, "cost_split_identity", lambda t, h, budget: (Fraction(1), Fraction(2)))
+    bounds = tmp_path / "bounds.csv"
+    code, out, err = run_cli(capsys, "verify", "--max-n", "3", "--posets", "2", "--out", str(bounds))
+    golden = "fixture poset counts dp=8, tree=7.0, expected 7"
+    identity = "fixture-tree: identity broke at ('a',) budget 1: 1 != 2"
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 7
+    assert lines[0] == f"FAIL  golden fixtures (5 instances)  [{golden}]"
+    assert lines[1] == f"FAIL  cost-splitting identity (1 instances)  [{identity}]"
+    assert all(line.startswith("PASS  ") for line in lines[2:6])
+    assert lines[6] == f"wrote {bounds}" and bounds.exists()
+    assert err == f"2 of 6 checks failed\n  counterexample: {golden}\n  counterexample: {identity}\n"
+
+
+def test_exact_mismatch_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "exact_forest_cost", lambda t: 8.0)
+    code, out, err = run_cli(capsys, "exact", "--fixture", "poset-fig3", "--method", "both")
+    assert code == 1 and out == "dp: 7\ntree: 8\n"
+    assert err == "MISMATCH on poset-fig3: dp=7 tree=8\n"
+
+
+def test_estimate_ideal_past_the_counter_cap_exit_code(tmp_path, capsys):
+    path = tmp_path / "p25.poset"
+    save_poset(random_poset(25, 0.2, 1), path)
+    code, out, err = run_cli(capsys, "estimate", "--poset", str(path), "--importance", "ideal", "--runs", "2")
+    assert code == 3 and out == ""
+    assert err == "resource cap exceeded: exact-cost weights need the deleted-set table; cap is n <= 24\n"
+
+
+def test_sweep_exact_ref_past_the_counter_cap_exit_code(monkeypatch, capsys):
+    # refused before any work: not even the n=24 point draws a poset
+    monkeypatch.setattr(experiments, "random_poset", None)
+    code, out, err = run_cli(
+        capsys, "--seed", "1", "sweep", "--kind", "n", "--values", "24,25", "--budget", "1",
+        "--posets", "2", "--estimates", "8", "--importance", "uniform", "--exact-ref",
+    )
+    assert code == 3 and out == ""
+    assert err == "resource cap exceeded: exact reference needs the exact count at n=25; cap is n <= 24\n"
 
 
 def test_verify_trivial_and_small(capsys):

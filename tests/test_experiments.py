@@ -7,6 +7,8 @@ import json
 import pytest
 
 from stochenum import experiments
+from stochenum.errors import CapExceeded
+from stochenum.estimators import ImportanceInduced, _run_block, summarize
 from stochenum.experiments import (
     SweepConfig,
     compare_importance,
@@ -17,6 +19,14 @@ from stochenum.experiments import (
     run_sweep,
     CSV_HEADER,
 )
+from stochenum.posets import (
+    MAX_DP_ELEMENTS,
+    LEDecisionTree,
+    count_linear_extensions,
+    importance_function,
+    random_poset,
+)
+from stochenum.sampling import derive_seed
 
 
 def small_config(**overrides):
@@ -179,7 +189,36 @@ def test_gnuplot_companion_layout():
 def test_exact_reference_and_verify_small_modes():
     cfg = small_config(exact_reference=True, verify_small=True)
     rows = run_sweep(cfg)
-    assert all(r.mean_rel_var >= 0 for r in rows)
+    # each row is the mean over its posets of sample variance / exact^2,
+    # recomputed here at the sweep task's seeds
+    for point_idx, value in enumerate(cfg.swept):
+        n, budget = cfg.point(value)
+        for imp_idx, imp in enumerate(cfg.importance):
+            rels = []
+            for poset_idx in range(cfg.posets_at(n)):
+                poset = random_poset(n, cfg.edge_probability, derive_seed(cfg.seed, "poset", point_idx, poset_idx))
+                tree = LEDecisionTree(poset)
+                dist = ImportanceInduced(importance_function(tree, imp))
+                run_seed = derive_seed(cfg.seed, "run", point_idx, poset_idx, imp_idx)
+                estimates = _run_block(tree, budget, dist, run_seed, 0, cfg.estimates_at(n))
+                rels.append(summarize(estimates).variance / count_linear_extensions(poset) ** 2)
+            (row,) = [r for r in rows if r.n == n and r.importance == imp]
+            assert row.mean_rel_var == summarize(rels).mean
+    # the sample-mean reference reads other values on the same runs
+    sample_ref = run_sweep(small_config(verify_small=True))
+    assert [r.mean_rel_var for r in rows] != [r.mean_rel_var for r in sample_ref]
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(swept=(MAX_DP_ELEMENTS, MAX_DP_ELEMENTS + 1)),
+    dict(kind="B", swept=(1,), fixed_n=MAX_DP_ELEMENTS + 1),
+])
+def test_exact_reference_past_the_counter_cap_raises(overrides):
+    # the exact count is needed at every point, so the config refuses
+    # before any poset is drawn
+    with pytest.raises(CapExceeded, match=f"n={MAX_DP_ELEMENTS + 1}; cap is n <= {MAX_DP_ELEMENTS}"):
+        small_config(exact_reference=True, **overrides)
+    small_config(**overrides)  # the sample-mean reference has no cap
 
 
 def test_timing_flag_populates_seconds():

@@ -71,6 +71,34 @@ def test_constructor_validation():
         Poset(3, [0b010, 0b100, 0b000])
 
 
+@pytest.mark.parametrize("n, gt, match", [
+    (0, [], "^poset needs at least one element$"),
+    (-1, [], "^poset needs at least one element$"),
+    (2, [0], "^expected 2 relation rows, got 1$"),
+    (2, [0, 0, 0], "^expected 2 relation rows, got 3$"),
+    (2, [0b100, 0], r"^row 0 references elements outside range\(2\)$"),
+    (2, [0, -1], r"^row 1 references elements outside range\(2\)$"),
+    # a 2-cycle i > j > i is caught by the closure check: the closure of
+    # row i takes in row j, which holds i itself
+    (2, [0b10, 0b01], "^relation is not transitively closed at element 0$"),
+])
+def test_constructor_rejections(n, gt, match):
+    with pytest.raises(ValueError, match=match):
+        Poset(n, gt)
+
+
+@pytest.mark.parametrize("pair", [(0, 3), (3, 0), (-1, 1)])
+def test_from_relations_rejects_pairs_outside_the_range(pair):
+    with pytest.raises(ValueError, match=rf"^pair \({pair[0]}, {pair[1]}\) outside range\(3\)$"):
+        Poset.from_relations(3, [(0, 1), pair])
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+def test_random_poset_rejects_probabilities_outside_the_unit_interval(p):
+    with pytest.raises(ValueError, match=rf"^edge probability must be in \[0, 1\], got {p}$"):
+        random_poset(4, p, 1)
+
+
 def test_random_poset_extremes():
     anti = random_poset(5, 0.0, 1)
     assert anti.relation_pairs() == []
@@ -388,9 +416,9 @@ def test_sibling_cubed_equals_uniform_at_budget_one():
         od_u = enumerate_distribution(tree, 1, UniformHyperchild(), max_sequences=200_000)
         # the reference lists sequences in the enumeration's order
         probs_f1 = dict(zip(reference_sequences(tree, 1, ImportanceInduced(f1)),
-                            (o.probability for o in od_f1.outcomes), strict=True))
+                            (prob for prob, _ in od_f1.outcomes), strict=True))
         probs_u = dict(zip(reference_sequences(tree, 1, UniformHyperchild()),
-                           (o.probability for o in od_u.outcomes), strict=True))
+                           (prob for prob, _ in od_u.outcomes), strict=True))
         assert probs_f1 == probs_u
         assert od_f1.mean == od_u.mean
         assert od_f1.variance == od_u.variance
@@ -468,6 +496,9 @@ def test_poset_file_errors(tmp_path):
         ("3\n0 7\n", "outside"),
         ("x\n", "not an integer"),
         ("", "no element count"),
+        ("3 4\n0 1\n", "line 1: expected the element count, got '3 4'"),
+        ("# none\n0\n", "line 2: element count must be positive, got 0"),
+        ("-2\n", "line 1: element count must be positive, got -2"),
     ]
     for i, (text, match) in enumerate(cases):
         path = tmp_path / f"bad{i}.poset"

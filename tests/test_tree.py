@@ -14,7 +14,6 @@ from stochenum.sampling import ScriptedChoice
 from stochenum.tree import (
     EXAMPLE_IMPORTANCE_LABELS,
     ExplicitTree,
-    Hypernode,
     TreeOracle,
     exact_forest_cost,
     fixture_example_importance,
@@ -44,17 +43,14 @@ def all_nodes(t):
     return out
 
 
-def test_hypernode_canonical_order_and_equality():
-    assert Hypernode(("c", "a", "b")).nodes == ("a", "b", "c")
-    assert Hypernode(("a", "b")) == Hypernode(("b", "a"))
-    assert len(Hypernode(("a", "b"))) == 2
-    assert "a" in Hypernode(("a", "b"))
-
-
-def test_hypernode_is_a_sorted_multiset():
-    h = Hypernode(("b", "a", "b"))
-    assert h.nodes == ("a", "b", "b") and len(h) == 3
-    assert h == Hypernode(("b", "b", "a")) and h != Hypernode(("a", "b"))
+def test_root_hypernode_is_the_sorted_root_tuple():
+    t = ExplicitTree({"a": ("x",)}, roots=("c", "a", "b"))
+    assert t.root_hypernode == ("a", "b", "c")
+    assert fixture_example_tree().root_hypernode == ("a",)
+    # the exact traversal and the walk both start from the sorted roots
+    assert exact_forest_cost(t) == 4.0
+    traj = sep_estimate(t, 3, UniformHyperchild(), ScriptedChoice([("subset", ("x",))]))
+    assert traj.estimate == 4.0
 
 
 def test_fixture_tree_shape():
@@ -79,16 +75,16 @@ def test_hypernode_cost_examples():
     synth = ExplicitTree({"r": ("d", "e")}, roots=("r",), costs={"d": 2.5, "e": 0.0, "r": 1.0})
     dist = RecordingDistribution(UniformHyperchild())
     traj = sep_estimate(synth, 2, dist, ScriptedChoice([("subset", ("d", "e"))]))
-    assert Hypernode(dist.draws[0][1]) == Hypernode(("d", "e"))
+    assert sorted(dist.draws[0][1]) == ["d", "e"]
     assert traj.d_products == (2.0,)
     assert traj.estimate == 1.0 + 1.25 * 2.0
 
 
 def test_hypernode_successors_examples():
     t = fixture_example_tree()
-    assert hypernode_successors(Hypernode(("b", "c")), t) == ("d", "e", "f")
-    assert hypernode_successors(Hypernode(("d", "e")), t) == ("g", "h", "i")
-    leaves = Hypernode(("k", "l", "m", "n"))
+    assert hypernode_successors(("b", "c"), t) == ("d", "e", "f")
+    assert hypernode_successors(("d", "e"), t) == ("g", "h", "i")
+    leaves = ("k", "l", "m", "n")
     assert hypernode_successors(leaves, t) == ()
 
 
@@ -100,7 +96,7 @@ class _SharedChild(TreeOracle):
 
     @property
     def root_hypernode(self):
-        return Hypernode(("x", "y"))
+        return ("x", "y")
 
     def successors(self, node):
         return self._children.get(node, ())
@@ -119,7 +115,7 @@ def test_hypernode_successors_keep_a_shared_child():
 
 def test_successors_deterministic():
     t = fixture_example_tree()
-    h = Hypernode(("b", "c"))
+    h = ("b", "c")
     assert hypernode_successors(h, t) == hypernode_successors(h, t)
     assert t.successors("e") == t.successors("e")
 
@@ -131,16 +127,15 @@ def hyperchildren(h, t, budget):
 
 def test_hyperchildren_examples():
     t = fixture_example_tree()
-    assert hyperchildren(Hypernode(("b", "c")), t, 2) == [("d", "e"), ("d", "f"), ("e", "f")]
-    assert hyperchildren(Hypernode(("a",)), t, 2) == [("b", "c")]
-    assert hypernode_successors(Hypernode(("k",)), t) == ()
+    assert hyperchildren(("b", "c"), t, 2) == [("d", "e"), ("d", "f"), ("e", "f")]
+    assert hyperchildren(("a",), t, 2) == [("b", "c")]
+    assert hypernode_successors(("k",), t) == ()
 
 
 def test_hyperchildren_sizes_and_counts():
     t = fixture_example_tree()
     for nodes in (("a",), ("b", "c"), ("d", "e"), ("e", "f")):
-        h = Hypernode(nodes)
-        succ = hypernode_successors(h, t)
+        succ = hypernode_successors(nodes, t)
         for budget in (1, 2, 3):
             support = list(UniformHyperchild().support(succ, budget))
             take = min(budget, len(succ))
@@ -237,12 +232,12 @@ def test_cost_split_identity_on_fixture_and_random_trees():
     t = fixture_example_tree()
     for nodes in (("a",), ("b", "c"), ("d", "e"), ("e", "f"), ("d", "f")):
         for budget in (1, 2, 3):
-            lhs, rhs = cost_split_identity(t, Hypernode(nodes), budget)
+            lhs, rhs = cost_split_identity(t, nodes, budget)
             assert lhs == rhs
     # random trees with mixed costs, including zero-cost nodes
     for i in range(10):
         rt = random_tree(i)
         for node in all_nodes(rt):
-            lhs, rhs = cost_split_identity(rt, Hypernode((node,)), 2)
+            lhs, rhs = cost_split_identity(rt, (node,), 2)
             assert lhs == rhs
             assert isinstance(lhs, Fraction)

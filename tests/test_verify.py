@@ -1,18 +1,26 @@
 """The check suite behind ``stochenum verify``: pinned output, and one
 exact analysis per cell."""
 
+import dataclasses
 import hashlib
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from stochenum import posets, verify
-from stochenum.analysis import cost_split_identity
+from stochenum.analysis import AlphaStats, cost_split_identity
 from stochenum.cli import main
-from stochenum.estimators import ImportanceInduced, UniformHyperchild
+from stochenum.estimators import ImportanceInduced, UniformHyperchild, sep_estimate
 from stochenum.posets import LEDecisionTree, Poset
 from stochenum.sampling import RandomSource, derive_seed
-from stochenum.tree import ExplicitTree, TreeOracle, fixture_example_importance, fixture_example_tree
+from stochenum.tree import (
+    ExplicitTree,
+    TreeOracle,
+    exact_forest_cost,
+    fixture_example_importance,
+    fixture_example_tree,
+)
 
 # stdout and the --out CSV of `--seed 7 verify --max-n 5 --posets 16
 # --max-sequences 200`.  The cost-splitting line counts distinct sampled
@@ -187,7 +195,9 @@ def test_identity_hypernodes_hold_equal_state_members():
     # the sampled hypernodes hold it twice where two positions pick it.
     tree = LEDecisionTree(Poset(5, [0] * 5))
     rng = RandomSource(derive_seed(1, "split"))
-    shared = [h for h in verify._identity_hypernodes(tree, 3, rng) if len(set(h)) < len(h)]
+    sampled = verify._identity_hypernodes(tree, 3, rng)
+    assert all(type(h) is tuple and list(h) == sorted(h) for h in sampled)
+    shared = [h for h in sampled if len(set(h)) < len(h)]
     assert shared
     for h in shared:
         lhs, rhs = cost_split_identity(tree, h, 3)
@@ -215,3 +225,94 @@ def test_cells_take_unhashable_oracles_and_slotted_weights():
         cells = [verify.Cell("fixture", tree, budget, "leafcount", dist, 200_000) for budget in (1, 2)]
         res = verify.check_variance_forms(cells)
         assert res.passed and res.instances == 2
+
+
+# Every failure branch of the checks, made to fire once: a cell's cached
+# analysis is preset, or the binding a check calls is replaced.
+
+def _fixture_cell(**preset):
+    """Budget-2 uniform fixture cell with the named analyses preset."""
+    cell = verify.Cell("fixture", fixture_example_tree(), 2, "uniform", UniformHyperchild(), 1000)
+    vars(cell).update(preset)
+    return cell
+
+
+def _assert_fails(res, name, message):
+    assert res.failures == [message]
+    assert res.line() == f"FAIL  {name} ({res.instances} instances)  [{message}]"
+
+
+def _perturbed_replays(when):
+    """``sep_estimate`` with the estimate off by one where ``when(budget, dist)``."""
+    def fake(t, budget, dist, choice):
+        traj = sep_estimate(t, budget, dist, choice)
+        return dataclasses.replace(traj, estimate=traj.estimate + 1) if when(budget, dist) else traj
+    return fake
+
+
+@pytest.mark.parametrize("attr, fake, message", [
+    ("exact_forest_cost", lambda t: 13.0 if isinstance(t, ExplicitTree) else exact_forest_cost(t),
+     "fixture tree cost 13.0 != 14"),
+    ("sep_estimate", _perturbed_replays(lambda b, d: b == 2 and isinstance(d, UniformHyperchild)),
+     "uniform budget-2 replay gave 13.75 != 12.75"),
+    ("sep_estimate", _perturbed_replays(lambda b, d: isinstance(d, ImportanceInduced)),
+     "weighted budget-2 replay gave 14.0, D (2.0, 2.5, 5.0, 2.5)"),
+    ("sep_estimate", _perturbed_replays(lambda b, d: b == 1),
+     "single-path replay gave 16.0, D factors (2.0, 2.0, 1.0, 1.0)"),
+    ("count_linear_extensions", lambda poset: 8, "fixture poset counts dp=8, tree=7.0, expected 7"),
+])
+def test_golden_failure_branches(monkeypatch, attr, fake, message):
+    monkeypatch.setattr(verify, attr, fake)
+    res = verify.check_fixture_golden()
+    assert res.instances == 5
+    _assert_fails(res, "golden fixtures", message)
+
+
+def test_cost_split_identity_failure_branch(monkeypatch):
+    monkeypatch.setattr(verify, "cost_split_identity", lambda t, h, budget: (Fraction(1), Fraction(2)))
+    res = verify.check_cost_split_identity([("fixture-tree", fixture_example_tree())], (2,), seed=1)
+    # the first sampled hypernode is the root, named by its member tuple
+    assert res.instances == 1
+    _assert_fails(res, "cost-splitting identity", "fixture-tree: identity broke at ('a',) budget 2: 1 != 2")
+
+
+def test_unbiasedness_mean_off_the_cost_fails():
+    cell = _fixture_cell(enumeration=(Fraction(13), Fraction(1), Fraction(0)))
+    _assert_fails(verify.check_unbiasedness([cell]), "unbiasedness of enumerated expectation",
+                  "fixture B=2 uniform: mean 13 != cost 14")
+
+
+@pytest.mark.parametrize("preset, message", [
+    (dict(enumeration=(14, 1, Fraction(5)), variance=Fraction(6)),
+     "fixture B=2 uniform: recursion 6 != enumeration 5"),
+    (dict(enumeration=(14, 1, Fraction(196)), variance=Fraction(196), cv2=Fraction(2)),
+     "fixture B=2 uniform: cv2 recursion 2 != 1"),
+])
+def test_variance_forms_failure_branches(preset, message):
+    _assert_fails(verify.check_variance_forms([_fixture_cell(**preset)]),
+                  "recursive variance and CV agreement", message)
+
+
+@pytest.mark.parametrize("cv2, alpha, message", [
+    # alpha as (mean, variance, max, level product)
+    ("0", ("2", "0", "2", "2"), "fixture B=2 uniform: expected alpha 2 != 1"),
+    ("1", ("1", "0", "5", "5"), "fixture B=2 uniform: cv2 1 > alpha variance 0"),
+    ("1", ("1", "2", "3/2", "5"), "fixture B=2 uniform: cv2 1 > max alpha - 1 = 1/2"),
+    ("1", ("1", "2", "3", "3/2"), "fixture B=2 uniform: cv2 1 > level product - 1 = 1/2"),
+    ("0", ("1", "5", "2", "5"), "fixture B=2 uniform: alpha second moment above max*mean"),
+])
+def test_alpha_suite_failure_branches(cv2, alpha, message):
+    sink = []
+    cell = _fixture_cell(cv2=Fraction(cv2), alpha=AlphaStats(*map(Fraction, alpha)))
+    res = verify.check_alpha_suite([cell], sink)
+    _assert_fails(res, "alpha diagnostics and bounds", message)
+    assert sink == []
+
+
+def test_zero_variance_sampled_run_off_the_cost_fails():
+    # the enumerated variance is 0, but the runs give 14 against a cost of 15
+    t = fixture_example_tree()
+    cell = verify.Cell("fixture", t, 2, "ideal", ImportanceInduced(t.subtree_cost), 1000)
+    cell.cost = Fraction(15)
+    _assert_fails(verify.check_zero_variance([cell], runs=10, seed=5), "zero variance under exact-cost weights",
+                  "fixture B=2 ideal run 0: estimate 14.0 != cost 15.0")
