@@ -2,9 +2,9 @@
 
 Everything here is exact and meant as a test oracle: the full outcome
 distribution of a walk (every hypernode sequence, its probability, and
-the estimate it would produce), and the hyperchild recursions for the
-variance, the squared coefficient of variation and the alpha
-diagnostic.  The draw enters only through ``dist.support``, which gives
+the estimate it would produce), and one hyperchild recursion,
+``exact_pass``, that gives the variance, the squared coefficient of
+variation and the alpha diagnostic together.  The draw enters only through ``dist.support``, which gives
 each candidate hyperchild w of a successor union S its exact
 probability P(w).  An alpha step is the zero-variance draw's
 probability of w over P(w), c(w) / (c(S) * C(|S|-1, |w|-1) * P(w)) with
@@ -22,11 +22,15 @@ it leaves that loop: per outcome, per memo entry, and for the returned
 moments and maxima.  All enumerations count against explicit caps and
 raise CapExceeded rather than truncating.
 
-The recursions (sequence count, variance, CV^2, alpha) memoize per
-hypernode, so alpha reaches instances far past any enumeration.  A
-hypernode is the sorted tuple of its members, and node references
-are states (see ``tree``), so hypernodes reached by different paths
-share one memo entry.
+The recursions (the sequence count and the exact pass) memoize per
+hypernode, so alpha reaches instances far past any enumeration.  The
+exact pass expands each reachable hypernode once and reads its
+``dist.support`` once for all three parts; ``recursive_variance``,
+``recursive_cv2`` and ``alpha_stats`` read one part each and compute
+only that one.  The enumeration stays memo-free over paths, as the
+independent check of the pass.  A hypernode is the sorted tuple of its
+members, and node references are states (see ``tree``), so hypernodes
+reached by different paths share one memo entry.
 """
 
 from __future__ import annotations
@@ -277,136 +281,144 @@ def _hypernode_recursion(t, budget, max_states, step, costs=False):
         del value_of  # value_of refers to itself: break that cycle so the memo frees now
 
 
-def _hyperchild_sum(exp: _Expansion, dist, budget: int, value_of, term) -> Fraction:
-    """sum_w X(w) / (C(|S|-1, |w|-1)^2 * P(w)) - Cost(T_S)^2 over the
-    candidates w of ``dist``, where ``term(value_of(w), c(w) numerator,
-    c_den^2)`` gives X(w) times c_den^2 as a (numerator, denominator) pair."""
-    c_den2 = exp.c_den * exp.c_den
-    num, den = 0, 1
-    for sub, p in dist.support(exp.succ, budget):
-        n, d = term(value_of(sub), sum(exp.c_of[x] for x in sub), c_den2)
-        num, den = _add(num, den, n * p.denominator, d * p.numerator)
-    binom2 = exp.binom * exp.binom
-    return Fraction(num - exp.c_all * exp.c_all * binom2 * den, binom2 * den * c_den2)
+_PARTS = ("variance", "cv2", "alpha")
+_ALPHA_TERMINAL = ((1, 1), (1, 1), (1, 1), ())  # E[alpha], E[alpha^2], max alpha, no levels
 
 
-def recursive_variance(
-    t: TreeOracle,
-    budget: int,
-    dist: HypernodeDistribution,
-    max_states: int = DEFAULT_STATE_CAP,
-) -> Fraction:
-    """Variance of the estimate under ``dist`` by the hyperchild recursion.
+def _defined(part):
+    """A part's value; an undefined part raises its exception afresh."""
+    if isinstance(part, Exception):
+        raise type(part)(*part.args)
+    return part
 
-    Evaluates, per hypernode v with successor set S and candidates w of
-    probability P(w),
 
-        Var(v) = sum_w (Var(w) + Cost(T_w)^2) / (C(|S|-1, |w|-1)^2 * P(w))
-                 - Cost(T_S)^2
+class ExactPass(NamedTuple):
+    """The parts of one ``exact_pass``, None where not asked for.  An
+    undefined part is kept as its exception, which reading ``cv2`` or
+    ``alpha`` raises; the other parts stay readable."""
 
-    with variance 0 at terminal hypernodes; under ``ImportanceInduced``,
-    1 / (C(|S|-1, |w|-1) * P(w)) is r(S)/r(w).  Memoized per hypernode;
-    this is the closed-form twin of the enumeration variance and the pair is
-    asserted equal in the test suite.
+    variance: Fraction | None
+    cv2_or_error: Fraction | ValueError | None
+    alpha_or_error: AlphaStats | AlphaUndefined | None
+
+    cv2 = property(lambda self: _defined(self.cv2_or_error))
+    alpha = property(lambda self: _defined(self.alpha_or_error))
+
+
+def exact_pass(t: TreeOracle, budget: int, dist: HypernodeDistribution, max_states: int = DEFAULT_STATE_CAP,
+               _parts: tuple[str, ...] = _PARTS) -> ExactPass:
+    """Variance, CV^2 and alpha of the estimate under ``dist`` by one
+    hyperchild recursion, which expands each reachable hypernode once and
+    reads its ``dist.support`` once.
+
+    Per hypernode v with successor union S, candidates w of probability
+    P(w) and b = C(|S|-1, |w|-1), with 0 at terminal hypernodes:
+
+        Var(v) = sum_w (Var(w) + Cost(T_w)^2) / (b^2 P(w)) - Cost(T_S)^2
+        CV2(v) = (sum_w Cost(T_w)^2 (CV2(w) + 1) / (b^2 P(w)) - Cost(T_S)^2) / Cost(T_v)^2
+
+    two formulas, so that CV^2 = Var / Cost^2 checks the recursion; under
+    ``ImportanceInduced``, 1 / (b P(w)) is r(S)/r(w).  Alpha is the product
+    over levels of step(w) = c(w) / (c(S) b P(w)), 1 at terminal
+    hypernodes: E[alpha] = sum_w P(w) step(w) E[alpha](w), E[alpha^2] =
+    sum_w P(w) step(w)^2 E[alpha^2](w) and, as costs are nonnegative, max
+    alpha = max_w step(w) max alpha(w).  Each hypernode also keeps its
+    largest step per depth below it, whose product at the root bounds max
+    alpha.  Raises CapExceeded past ``max_states`` hypernodes and whatever
+    ``dist.support`` rejects.  ``_parts`` names the parts to compute; each
+    reader below computes its own only.
     """
+    want = tuple(part in _parts for part in _PARTS)
 
-    def step(nodes, exp, var_of):
-        if exp is None:
-            return Fraction(0)
-        # (Var(w) + Cost(T_w)^2) times c_den^2
-        return _hyperchild_sum(
-            exp, dist, budget, var_of,
-            lambda var, c_sel, c_den2: (var.numerator * c_den2 + c_sel * c_sel * var.denominator, var.denominator),
-        )
-
-    return _hypernode_recursion(t, budget, max_states, step, costs=True)
-
-
-def recursive_cv2(
-    t: TreeOracle,
-    budget: int,
-    dist: HypernodeDistribution,
-    max_states: int = DEFAULT_STATE_CAP,
-) -> Fraction:
-    """Squared coefficient of variation by its own hyperchild recursion.
-
-    Same shape as ``recursive_variance`` but normalized by subtree costs
-    level by level; must agree with variance / cost^2 exactly.  Raises on
-    a zero-cost forest, where the ratio is undefined, and on whatever
-    ``dist.support`` rejects (a nonpositive weight).
-    """
-    def step(nodes, exp, cv2_of):
-        cost_v = sum(map(t.subtree_cost, nodes))
+    def step(nodes, exp, parts_of):
+        # A part is its value, or the exception that leaves it undefined
+        # from here up; an undefined part needs nothing from below.
+        var_on, cv2_on, alpha_on = want
+        var = cv2 = alpha = None
+        cost_v = sum(map(t.subtree_cost, nodes)) if cv2_on else None
         if cost_v == 0:
-            raise ValueError(f"forest at {nodes!r} has zero total cost; CV undefined")
+            cv2, cv2_on = ValueError(f"forest at {nodes!r} has zero total cost; CV undefined"), False
         if exp is None:
-            return Fraction(0)
-        # Cost(T_w)^2 * (CV2(w) + 1) times c_den^2
-        unnormalized = _hyperchild_sum(
-            exp, dist, budget, cv2_of,
-            lambda cv2, c_sel, c_den2: (c_sel * c_sel * (cv2.numerator + cv2.denominator), cv2.denominator),
-        )
-        return unnormalized / (cost_v * cost_v)
-
-    return _hypernode_recursion(t, budget, max_states, step, costs=True)
-
-
-def alpha_stats(
-    t: TreeOracle,
-    budget: int,
-    dist: HypernodeDistribution,
-    max_states: int = DEFAULT_STATE_CAP,
-) -> AlphaStats:
-    """Moments and maxima of alpha under ``dist`` by the hyperchild recursion.
-
-    Alpha is the product over levels of step(w) = c(w) / (c(S) *
-    C(|S|-1, |w|-1) * P(w)) (see the module docstring).  Per hypernode,
-    over the candidates w of ``dist`` and with 1 at terminal hypernodes,
-    E[alpha] = sum_w P(w) step(w) E[alpha](w), where P(w) step(w) needs no
-    P(w); E[alpha^2] = sum_w P(w) step(w)^2 E[alpha^2](w); and, as node
-    costs are nonnegative, max alpha = max_w step(w) max alpha(w).  Each
-    hypernode also yields its largest step per depth below it; a
-    hypernode's depth is fixed, so the root's are the per-level maxima
-    whose product bounds max alpha.  Memoized as ``recursive_cv2`` is;
-    raises AlphaUndefined at a reachable successor forest of zero cost.
-    """
-
-    def step(nodes, exp, value_of):
-        # E[alpha], E[alpha^2], max alpha and each depth's step maximum as
-        # reduced integer pairs
-        if exp is None:
-            return (1, 1), (1, 1), (1, 1), ()
-        if exp.c_all == 0:
-            raise AlphaUndefined(f"successor forest of {nodes!r} has zero total cost; alpha undefined")
-        # With k = c_den * c(S) * C(|S|-1, |w|-1), c(w) = c / c_den and P(w) =
-        # pn / pd: P(w) step(w) = c / k and step(w) = c * pd / (pn * k).  Sums
-        # stay unreduced over k, and this level's maxima compare without k,
-        # until one reduction per value.
-        e1n, e1d, e2n, e2d = 0, 1, 0, 1
+            return (Fraction(0) if var_on else None, Fraction(0) if cv2_on else cv2,
+                    _ALPHA_TERMINAL if alpha_on else None)
+        if alpha_on and exp.c_all == 0:
+            alpha = AlphaUndefined(f"successor forest of {nodes!r} has zero total cost; alpha undefined")
+            alpha_on = False
+        if not (var_on or cv2_on or alpha_on):
+            return var, cv2, alpha
+        # Sums on integers.  Alpha's stay unreduced over k = c_den * c(S) * b:
+        # with c(w) = c / c_den and P(w) = pn / pd, P(w) step(w) = c / k and
+        # step(w) = c * pd / (pn * k), so this level's maxima compare without k.
+        c_den2 = exp.c_den * exp.c_den
+        vn, vd, cn, cd, e1n, e1d, e2n, e2d = 0, 1, 0, 1, 0, 1, 0, 1
         top = None
         level_max = []
         for sub, p in dist.support(exp.succ, budget):
-            (a1n, a1d), (a2n, a2d), (bn, bd), levels = value_of(sub)
+            var_w, cv2_w, alpha_w = parts_of(sub)
+            if cv2_on and isinstance(cv2_w, ValueError):
+                cv2, cv2_on = cv2_w, False
+            if alpha_on and isinstance(alpha_w, AlphaUndefined):
+                alpha, alpha_on = alpha_w, False
+            if not (var_on or cv2_on or alpha_on):
+                break
             c = sum(exp.c_of[x] for x in sub)
-            sn, sd = c * p.denominator, p.numerator
-            e1n, e1d = _add_unreduced(e1n, e1d, c * a1n, a1d)
-            e2n, e2d = _add_unreduced(e2n, e2d, c * sn * a2n, sd * a2d)
-            n, d = sn * bn, sd * bd
-            if top is None or n * top[1] > top[0] * d:
-                top = n, d
-            for i, (n, d) in enumerate(((sn, sd), *levels)):
-                if i == len(level_max):
-                    level_max.append((n, d))
-                elif n * level_max[i][1] > level_max[i][0] * d:
-                    level_max[i] = n, d
-        k = exp.c_all * exp.binom
-        level_max[0] = _reduced(level_max[0][0], level_max[0][1] * k)
-        return _reduced(e1n, e1d * k), _reduced(e2n, e2d * k * k), _reduced(top[0], top[1] * k), tuple(level_max)
+            pn, pd = p.numerator, p.denominator
+            if var_on:  # (Var(w) + Cost(T_w)^2) * c_den^2 / P(w)
+                n, d = var_w.numerator, var_w.denominator
+                vn, vd = _add(vn, vd, (n * c_den2 + c * c * d) * pd, d * pn)
+            if cv2_on:  # Cost(T_w)^2 * (CV2(w) + 1) * c_den^2 / P(w)
+                n, d = cv2_w.numerator, cv2_w.denominator
+                cn, cd = _add(cn, cd, c * c * (n + d) * pd, d * pn)
+            if alpha_on:
+                (a1n, a1d), (a2n, a2d), (bn, bd), levels = alpha_w
+                sn, sd = c * pd, pn
+                e1n, e1d = _add_unreduced(e1n, e1d, c * a1n, a1d)
+                e2n, e2d = _add_unreduced(e2n, e2d, c * sn * a2n, sd * a2d)
+                n, d = sn * bn, sd * bd
+                if top is None or n * top[1] > top[0] * d:
+                    top = n, d
+                for i, (n, d) in enumerate(((sn, sd), *levels)):
+                    if i == len(level_max):
+                        level_max.append((n, d))
+                    elif n * level_max[i][1] > level_max[i][0] * d:
+                        level_max[i] = n, d
+        binom2 = exp.binom * exp.binom
+        c_all2 = exp.c_all * exp.c_all * binom2
+        if var_on:
+            var = Fraction(vn - c_all2 * vd, binom2 * vd * c_den2)
+        if cv2_on:
+            cv2 = Fraction(cn - c_all2 * cd, binom2 * cd * c_den2) / (cost_v * cost_v)
+        if alpha_on:
+            k = exp.c_all * exp.binom
+            level_max[0] = _reduced(level_max[0][0], level_max[0][1] * k)
+            alpha = _reduced(e1n, e1d * k), _reduced(e2n, e2d * k * k), _reduced(top[0], top[1] * k), tuple(level_max)
+        return var, cv2, alpha
 
-    a1, a2, top, levels = _hypernode_recursion(t, budget, max_states, step, costs=True)
-    mean = Fraction(*a1)
-    product = math.prod((Fraction(*lv) for lv in levels), start=Fraction(1))
-    return AlphaStats(mean, Fraction(*a2) - mean * mean, Fraction(*top), product)
+    var, cv2, alpha = _hypernode_recursion(t, budget, max_states, step, costs=True)
+    if type(alpha) is tuple:
+        a1, a2, top, levels = alpha
+        mean = Fraction(*a1)
+        product = math.prod((Fraction(*lv) for lv in levels), start=Fraction(1))
+        alpha = AlphaStats(mean, Fraction(*a2) - mean * mean, Fraction(*top), product)
+    return ExactPass(var, cv2, alpha)
+
+
+def recursive_variance(t: TreeOracle, budget: int, dist: HypernodeDistribution,
+                       max_states: int = DEFAULT_STATE_CAP) -> Fraction:
+    """``exact_pass``'s variance alone: the enumeration variance in closed form."""
+    return exact_pass(t, budget, dist, max_states, _parts=("variance",)).variance
+
+
+def recursive_cv2(t: TreeOracle, budget: int, dist: HypernodeDistribution,
+                  max_states: int = DEFAULT_STATE_CAP) -> Fraction:
+    """``exact_pass``'s CV^2 alone; ValueError at a reachable zero-cost forest."""
+    return exact_pass(t, budget, dist, max_states, _parts=("cv2",)).cv2
+
+
+def alpha_stats(t: TreeOracle, budget: int, dist: HypernodeDistribution,
+                max_states: int = DEFAULT_STATE_CAP) -> AlphaStats:
+    """``exact_pass``'s alpha alone; AlphaUndefined at a reachable zero-cost successor forest."""
+    return exact_pass(t, budget, dist, max_states, _parts=("alpha",)).alpha
 
 
 def cost_split_identity(t: TreeOracle, h: tuple, budget: int):

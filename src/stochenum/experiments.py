@@ -78,7 +78,7 @@ class SweepConfig:
             raise ValueError("a 'B' sweep needs a fixed poset size")
         if self.fixed_budget is not None and self.fixed_budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.fixed_budget}")
-        if self.scale <= 0:
+        if not self.scale > 0:  # NaN included
             raise ValueError("scale must be positive")
         if self.posets_per_point is not None and self.posets_per_point < 1:
             raise ValueError("replicate counts must be >= 1")
@@ -129,7 +129,6 @@ class SweepRow:
     stderr: float | None  # None where a single poset leaves it undefined
     guard_frac: float | None = None
     seconds: float | None = None
-    zero_mean_posets: int = 0
 
     def csv_fields(self) -> list[str]:
         return [
@@ -157,7 +156,6 @@ class SweepRow:
             "stderr": self.stderr,
             "guard_frac": self.guard_frac,
             "seconds": self.seconds,
-            "zero_mean_posets": self.zero_mean_posets,
         }
 
 
@@ -238,13 +236,9 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> list[SweepRow]:
             cell = sorted(by_cell.get((point_idx, imp), ()))
             if cfg.verify_small:
                 _check_ratios([r for _, (_, _, _, r) in cell if r is not None], n, budget, imp)
-            rels = [rel for _, (rel, _, _, _) in cell if rel is not None]
-            zero_mean = sum(1 for _, (rel, _, _, _) in cell if rel is None)
-            if rels:
-                summary = summarize(rels)
-                mean_rel, stderr = summary.mean, summary.stderr
-            else:
-                mean_rel = stderr = float("nan")
+            # every estimate is positive and each poset has at least two,
+            # so every relative variance is defined
+            summary = summarize([rel for _, (rel, _, _, _) in cell])
             hits = sum(g[0] for _, (_, g, _, _) in cell if g is not None)
             evals = sum(g[1] for _, (_, g, _, _) in cell if g is not None)
             guard_frac = (hits / evals) if evals else None
@@ -259,11 +253,10 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> list[SweepRow]:
                     importance=imp,
                     posets=len(cell),
                     estimates_per_poset=cfg.estimates_at(n),
-                    mean_rel_var=mean_rel,
-                    stderr=stderr,
+                    mean_rel_var=summary.mean,
+                    stderr=summary.stderr,
                     guard_frac=guard_frac,
                     seconds=seconds,
-                    zero_mean_posets=zero_mean,
                 )
             )
     return rows

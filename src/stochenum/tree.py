@@ -120,6 +120,8 @@ class ExplicitTree(TreeOracle):
     ):
         self._children = {k: tuple(v) for k, v in children.items()}
         self._roots = tuple(sorted(roots))
+        if not self._roots:
+            raise ValueError("a forest needs at least one root")
         self._costs = dict(costs) if costs else {}
         seen = set()
         frontier = list(self._roots)

@@ -10,12 +10,13 @@ user-facing command; the test suite calls the same functions.
 
 The exact checks (unbiasedness, the variance forms, alpha, zero
 variance) take lists of ``Cell``: one (instance, budget, draw) each,
-whose enumeration, variance recursion, CV^2 recursion and alpha
-recursion run on first use and are kept as scalars, every enumeration
+whose enumeration and one exact pass (variance, CV^2 and alpha
+together) run on first use and are kept as scalars, every enumeration
 under the suite's one sequence cap.  ``run_checks`` builds each cell
-once and hands the same object to every check that reads it, so each is
-analyzed once.  The zero-variance check also samples each of its cells'
-runs through ``estimators._run_block``, under stream contract v2.
+once and hands the same object to every check that reads it, so beyond
+its enumeration each reachable state of a cell is expanded once.  The
+zero-variance check also samples each of its cells' runs through
+``estimators._run_block``, under stream contract v2.
 """
 
 from __future__ import annotations
@@ -25,15 +26,10 @@ from fractions import Fraction
 from functools import cached_property
 
 from .analysis import (
-    AlphaStats,
-    alpha_stats,
-    bounds_csv_row,
-    cost_split_identity,
-    count_sequences,
-    enumerate_distribution,
-    recursive_cv2,
-    recursive_variance,
+    ExactPass, bounds_csv_row, cost_split_identity, count_sequences, enumerate_distribution, exact_pass,
 )
+# not called here: perfbench/tracing.py wraps the three readers by name on this module
+from .analysis import alpha_stats, recursive_cv2, recursive_variance
 from .errors import CapExceeded
 from .estimators import ImportanceInduced, UniformHyperchild, _run_block, sep_estimate
 from .posets import LEDecisionTree, Poset, count_linear_extensions, fixture_poset, importance_function, random_poset
@@ -220,9 +216,9 @@ class Cell:
     Each part is computed on first use and kept, so every check that
     reads a cell shares one analysis of it: ``cost`` is the exact forest
     cost; ``enumeration`` is (mean, total probability, variance) of the
-    outcome distribution, capped at ``max_sequences``; ``variance``,
-    ``cv2`` and ``alpha`` are the recursions.  Only scalars are kept,
-    never the outcomes.
+    outcome distribution, capped at ``max_sequences``; ``exact`` is the
+    one ``exact_pass`` that gives its variance, CV^2 and alpha.  Only
+    scalars are kept, never the outcomes.
     """
 
     def __init__(self, label: str, t, budget: int, draw_label: str, dist, max_sequences: int):
@@ -242,16 +238,8 @@ class Cell:
         return od.mean, od.total_probability, od.variance
 
     @cached_property
-    def variance(self) -> Fraction:
-        return recursive_variance(self.t, self.budget, self.dist)
-
-    @cached_property
-    def cv2(self) -> Fraction:
-        return recursive_cv2(self.t, self.budget, self.dist)
-
-    @cached_property
-    def alpha(self) -> AlphaStats:
-        return alpha_stats(self.t, self.budget, self.dist)
+    def exact(self) -> ExactPass:
+        return exact_pass(self.t, self.budget, self.dist)
 
 
 def check_unbiasedness(cells) -> CheckResult:
@@ -275,12 +263,12 @@ def check_variance_forms(cells) -> CheckResult:
     for cell in cells:
         variance = cell.enumeration[2]
         res.instances += 1
-        if cell.variance != variance:
-            res.fail(f"{cell}: recursion {cell.variance} != enumeration {variance}")
+        if cell.exact.variance != variance:
+            res.fail(f"{cell}: recursion {cell.exact.variance} != enumeration {variance}")
             return res
         cost = cell.cost
-        if cost != 0 and cell.cv2 != variance / (cost * cost):
-            res.fail(f"{cell}: cv2 recursion {cell.cv2} != {variance / (cost * cost)}")
+        if cost != 0 and cell.exact.cv2 != variance / (cost * cost):
+            res.fail(f"{cell}: cv2 recursion {cell.exact.cv2} != {variance / (cost * cost)}")
             return res
     return res
 
@@ -289,8 +277,7 @@ def check_alpha_suite(cells, bounds_sink=None) -> CheckResult:
     """Expected alpha is 1; the variance/max/product bound chain holds."""
     res = CheckResult("alpha diagnostics and bounds")
     for cell in cells:
-        stats = cell.alpha
-        cv2 = cell.cv2
+        stats, cv2 = cell.exact.alpha, cell.exact.cv2
         res.instances += 1
         if stats.mean != 1:
             res.fail(f"{cell}: expected alpha {stats.mean} != 1")
@@ -309,7 +296,8 @@ def check_alpha_suite(cells, bounds_sink=None) -> CheckResult:
             res.fail(f"{cell}: alpha second moment above max*mean")
             return res
         if bounds_sink is not None:
-            bounds_sink.append(bounds_csv_row(cell.label, cell.budget, cell.draw_label, cell.variance, cv2, stats))
+            bounds_sink.append(
+                bounds_csv_row(cell.label, cell.budget, cell.draw_label, cell.exact.variance, cv2, stats))
     return res
 
 

@@ -26,6 +26,7 @@ from stochenum.analysis import (
     cost_split_identity,
     count_sequences,
     enumerate_distribution,
+    exact_pass,
     recursive_cv2,
     recursive_variance,
 )
@@ -413,6 +414,22 @@ def test_enumeration_expands_each_hypernode_once(monkeypatch):
     assert set(calls.values()) == {1}
 
 
+def test_exact_pass_reads_support_once_per_hypernode(monkeypatch):
+    # Each reachable hypernode with successors reads support once, for all
+    # three parts together.
+    tree = LEDecisionTree(random_poset(5, 0.15, 1))
+    dist = ImportanceInduced(importance_function(tree, "f2"))
+    hypernodes = {h for seq in reference_sequences(tree, 2, dist) for h in seq}
+    expanding = Counter(hypernode_successors(h, tree) for h in hypernodes if hypernode_successors(h, tree))
+    seen = Counter()
+    support = dist.support
+    monkeypatch.setattr(dist, "support", lambda succ, budget: seen.update([succ]) or support(succ, budget))
+    exact = exact_pass(tree, 2, dist)
+    assert seen == expanding
+    assert None not in (exact.variance, exact.cv2, exact.alpha)
+    assert sum(expanding.values()) > 10
+
+
 def _assert_enumeration_matches_reference(t, budget, dist):
     """Outcomes in order and moments equal the Fraction reference exactly,
     and so do alpha's moments, maximum and level product (see
@@ -458,6 +475,24 @@ def _assert_recursions_match_reference(t, budget, weight):
             recursive_cv2(t, budget, dist)
     else:
         assert recursive_cv2(t, budget, dist) == expected
+    _assert_pass_matches_readers(t, budget, dist)
+
+
+def _assert_pass_matches_readers(t, budget, dist):
+    """The one pass's three parts equal what the three readers return, and
+    a part that a reader raises on raises the same type and message in
+    the pass, whose other parts stay readable."""
+    exact = exact_pass(t, budget, dist)
+    assert exact.variance == recursive_variance(t, budget, dist)
+    for reader, read in ((recursive_cv2, lambda: exact.cv2), (alpha_stats, lambda: exact.alpha)):
+        try:
+            expected = reader(t, budget, dist)
+        except ValueError as err:  # a zero-cost forest; AlphaUndefined for alpha
+            with pytest.raises(type(err)) as raised:
+                read()
+            assert (type(raised.value), raised.value.args) == (type(err), err.args)
+        else:
+            assert read() == expected
 
 
 @st.composite
@@ -530,6 +565,7 @@ def _assert_uniform_draw_analysis(t, budget) -> bool:
     dist = UniformHyperchild()
     od = enumerate_distribution(t, budget, dist)
     assert recursive_variance(t, budget, dist) == od.variance
+    _assert_pass_matches_readers(t, budget, dist)
     try:
         cv2 = recursive_cv2(t, budget, dist)
     except ValueError:  # a reachable forest of zero cost

@@ -305,6 +305,8 @@ def test_sweep_json_lines(capsys):
     rows = [json.loads(line) for line in out.strip().splitlines()]
     assert len(rows) == 4
     assert {r["importance"] for r in rows} == {"uniform", "f1", "f2", "f3"}
+    # the keys are the CSV columns
+    assert all(sorted(r) == sorted(experiments.CSV_HEADER) for r in rows)
 
 
 def test_sweep_stderr_of_one_poset_is_empty(capsys):
@@ -347,6 +349,17 @@ def test_nonpositive_sizes_are_usage_errors(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("counts", [(), ("--posets", "2", "--estimates", "4")])
+def test_sweep_nan_scale_is_a_usage_error(capsys, counts):
+    # NaN passes `scale <= 0`: without explicit counts the replicate count
+    # then failed on a float-to-int conversion, and with them the sweep ran
+    code, out, err = run_cli(
+        capsys, "sweep", "--kind", "n", "--values", "5", "--budget", "1", *counts, "--scale", "nan",
+    )
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: scale must be positive"]
 
 
 def test_sweep_single_estimate_is_a_usage_error(capsys):

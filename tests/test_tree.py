@@ -168,6 +168,16 @@ def test_explicit_tree_rejects_shared_children():
         ExplicitTree({"a": ("c",), "b": ("c",)}, roots=("a", "b"))
 
 
+@pytest.mark.parametrize("roots", [(), []])
+def test_explicit_tree_rejects_an_empty_root_set(roots):
+    # No roots would be a forest whose estimates divide by zero while its
+    # recursions read variance 0 and one sequence.
+    with pytest.raises(ValueError, match="^a forest needs at least one root$"):
+        ExplicitTree({}, roots=roots)
+    with pytest.raises(ValueError, match="at least one root"):
+        ExplicitTree({"a": ("b",)}, roots=roots, costs={"a": 1.0})
+
+
 def test_subtree_cost_matches_manual():
     t = fixture_example_tree()
     assert t.subtree_cost("a") == 14

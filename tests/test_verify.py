@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from stochenum import posets, verify
-from stochenum.analysis import AlphaStats, cost_split_identity
+from stochenum.analysis import AlphaStats, ExactPass, cost_split_identity
 from stochenum.cli import main
 from stochenum.estimators import ImportanceInduced, UniformHyperchild, sep_estimate
 from stochenum.posets import LEDecisionTree, Poset
@@ -54,15 +54,22 @@ def test_verify_output_is_pinned(tmp_path, capsys):
 
 
 def test_run_checks_analyzes_each_weighted_cell_once(monkeypatch):
-    calls = {name: Counter() for name in ("enumerate", "variance", "cv2", "alpha")}
+    # One exact pass per weighted cell, with all three parts, and no call to
+    # the single-part readers; one enumeration per cell.
+    calls = {name: Counter() for name in ("enumerate", "pass", "variance", "cv2", "alpha")}
+    passes = []
 
     def spy(name, fn):
         def wrapper(t, budget, dist, *args, **kwargs):
             calls[name][t, budget, getattr(dist, "weight", None)] += 1
-            return fn(t, budget, dist, *args, **kwargs)
+            result = fn(t, budget, dist, *args, **kwargs)
+            if name == "pass":
+                passes.append(result)
+            return result
         return wrapper
 
     monkeypatch.setattr(verify, "enumerate_distribution", spy("enumerate", verify.enumerate_distribution))
+    monkeypatch.setattr(verify, "exact_pass", spy("pass", verify.exact_pass))
     monkeypatch.setattr(verify, "recursive_variance", spy("variance", verify.recursive_variance))
     monkeypatch.setattr(verify, "recursive_cv2", spy("cv2", verify.recursive_cv2))
     monkeypatch.setattr(verify, "alpha_stats", spy("alpha", verify.alpha_stats))
@@ -71,13 +78,15 @@ def test_run_checks_analyzes_each_weighted_cell_once(monkeypatch):
     assert all(r.passed for r in results)
     # fixture: the uniform draw and the leaf-count weight; posets: four kinds each
     weighted = budgets * (2 + 4 * posets)
-    assert len(calls["variance"]) == len(calls["cv2"]) == len(calls["alpha"]) == weighted
-    assert set(calls["alpha"]) == set(calls["variance"]) == set(calls["cv2"])
+    assert len(calls["pass"]) == weighted
+    assert all(None not in (p.variance, p.cv2, p.alpha) for p in passes)
+    assert not (calls["variance"] or calls["cv2"] or calls["alpha"])
     # one enumeration per cell: the weighted cells, the fixture's ideal
     # draw, and the posets' ideal draws, which only the zero-variance check
     # reads (it shares the fixture's)
     assert len(calls["enumerate"]) == weighted + budgets * (1 + posets)
-    for name in calls:
+    assert set(calls["pass"]) <= set(calls["enumerate"])
+    for name in ("enumerate", "pass"):
         assert set(calls[name].values()) == {1}, name
 
 
@@ -186,7 +195,7 @@ def test_alpha_suite_takes_the_uniform_draw():
         res = verify.check_alpha_suite([cell], sink)
         assert res.passed and res.instances == 1
         rows.append(sink)
-    assert uniform.alpha == constant.alpha
+    assert uniform.exact == constant.exact
     assert rows[0] == rows[1] and len(rows[0]) == 1
 
 
@@ -283,9 +292,9 @@ def test_unbiasedness_mean_off_the_cost_fails():
 
 
 @pytest.mark.parametrize("preset, message", [
-    (dict(enumeration=(14, 1, Fraction(5)), variance=Fraction(6)),
+    (dict(enumeration=(14, 1, Fraction(5)), exact=ExactPass(Fraction(6), None, None)),
      "fixture B=2 uniform: recursion 6 != enumeration 5"),
-    (dict(enumeration=(14, 1, Fraction(196)), variance=Fraction(196), cv2=Fraction(2)),
+    (dict(enumeration=(14, 1, Fraction(196)), exact=ExactPass(Fraction(196), Fraction(2), None)),
      "fixture B=2 uniform: cv2 recursion 2 != 1"),
 ])
 def test_variance_forms_failure_branches(preset, message):
@@ -303,7 +312,7 @@ def test_variance_forms_failure_branches(preset, message):
 ])
 def test_alpha_suite_failure_branches(cv2, alpha, message):
     sink = []
-    cell = _fixture_cell(cv2=Fraction(cv2), alpha=AlphaStats(*map(Fraction, alpha)))
+    cell = _fixture_cell(exact=ExactPass(None, Fraction(cv2), AlphaStats(*map(Fraction, alpha))))
     res = verify.check_alpha_suite([cell], sink)
     _assert_fails(res, "alpha diagnostics and bounds", message)
     assert sink == []
