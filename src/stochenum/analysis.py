@@ -4,12 +4,12 @@ Everything here is exact and meant as a test oracle: the full outcome
 distribution of a walk (every hypernode sequence, its probability, and
 the estimate it would produce), and one hyperchild recursion,
 ``exact_pass``, that gives the variance, the squared coefficient of
-variation and the alpha diagnostic together.  The draw enters only through ``dist.support``, which gives
-each candidate hyperchild w of a successor union S its exact
-probability P(w).  An alpha step is the zero-variance draw's
-probability of w over P(w), c(w) / (c(S) * C(|S|-1, |w|-1) * P(w)) with
-c the subtree cost; under ``ImportanceInduced`` it is the paper's
-(r(S)/r(w)) * (c(w)/c(S)).
+variation and the alpha diagnostic together.  The draw enters only
+through ``dist.support``, which gives each candidate hyperchild w of a
+successor union S its exact probability P(w).  An alpha step is the
+zero-variance draw's probability of w over P(w),
+c(w) / (c(S) * C(|S|-1, |w|-1) * P(w)) with c the subtree cost; under
+``ImportanceInduced`` it is the paper's (r(S)/r(w)) * (c(w)/c(S)).
 
 Every result is exact: each float input (cost, weight) is the rational
 it denotes, so identities hold with zero tolerance.  The arithmetic runs
@@ -391,7 +391,8 @@ def exact_pass(t: TreeOracle, budget: int, dist: HypernodeDistribution, max_stat
         if alpha_on:
             k = exp.c_all * exp.binom
             level_max[0] = _reduced(level_max[0][0], level_max[0][1] * k)
-            alpha = _reduced(e1n, e1d * k), _reduced(e2n, e2d * k * k), _reduced(top[0], top[1] * k), tuple(level_max)
+            alpha = (_reduced(e1n, e1d * k), _reduced(e2n, e2d * k * k),
+                     _reduced(top[0], top[1] * k), tuple(level_max))
         return var, cv2, alpha
 
     var, cv2, alpha = _hypernode_recursion(t, budget, max_states, step, costs=True)

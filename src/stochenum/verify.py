@@ -26,7 +26,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .analysis import (
-    ExactPass, bounds_csv_row, cost_split_identity, count_sequences, enumerate_distribution, exact_pass,
+    ExactPass, bounds_csv_row, cost_split_identity, count_sequences,
+    enumerate_distribution, exact_pass,
 )
 # not called here: perfbench/tracing.py wraps the three readers by name on this module
 from .analysis import alpha_stats, recursive_cv2, recursive_variance

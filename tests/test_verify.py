@@ -54,9 +54,9 @@ def test_verify_output_is_pinned(tmp_path, capsys):
 
 
 def test_run_checks_analyzes_each_weighted_cell_once(monkeypatch):
-    # One exact pass per weighted cell, with all three parts, and no call to
-    # the single-part readers; one enumeration per cell.
-    calls = {name: Counter() for name in ("enumerate", "pass", "variance", "cv2", "alpha")}
+    # One exact pass per weighted cell, with all three parts; one
+    # enumeration per cell.
+    calls = {name: Counter() for name in ("enumerate", "pass")}
     passes = []
 
     def spy(name, fn):
@@ -70,9 +70,6 @@ def test_run_checks_analyzes_each_weighted_cell_once(monkeypatch):
 
     monkeypatch.setattr(verify, "enumerate_distribution", spy("enumerate", verify.enumerate_distribution))
     monkeypatch.setattr(verify, "exact_pass", spy("pass", verify.exact_pass))
-    monkeypatch.setattr(verify, "recursive_variance", spy("variance", verify.recursive_variance))
-    monkeypatch.setattr(verify, "recursive_cv2", spy("cv2", verify.recursive_cv2))
-    monkeypatch.setattr(verify, "alpha_stats", spy("alpha", verify.alpha_stats))
     posets, budgets = 4, 2
     results = verify.run_checks(max_n=4, max_budget=budgets, posets=posets, seed=3, max_sequences=2000)
     assert all(r.passed for r in results)
@@ -80,7 +77,6 @@ def test_run_checks_analyzes_each_weighted_cell_once(monkeypatch):
     weighted = budgets * (2 + 4 * posets)
     assert len(calls["pass"]) == weighted
     assert all(None not in (p.variance, p.cv2, p.alpha) for p in passes)
-    assert not (calls["variance"] or calls["cv2"] or calls["alpha"])
     # one enumeration per cell: the weighted cells, the fixture's ideal
     # draw, and the posets' ideal draws, which only the zero-variance check
     # reads (it shares the fixture's)
